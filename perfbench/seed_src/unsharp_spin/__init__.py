@@ -1,0 +1,134 @@
+"""Unsharp spin-1 observables from apparatus misalignment.
+
+Misaligned spin measurements realize POVMs rather than projective
+measurements: each intended direction yields three commuting effects that
+share the eigenbasis of the sharp observable and carry four
+model-dependent eigenvalues.  When the misalignment is small enough, the
+eigenvalue thresholds color every eigenray "almost true" or "almost
+false", and for Kochen-Specker direction sets no noncontextual coloring
+exists.  This package builds the effects, verifies their algebra, and
+proves the non-colorability exhaustively.
+"""
+
+from .crosscheck import brute_force_colorings, check_coloring, dpll_solve
+from .formats import (
+    dumps_report,
+    fixture_path,
+    load_direction_file,
+    load_profile_file,
+    load_ray_file,
+    save_direction_file,
+    save_ray_file,
+    write_report,
+)
+from .ks_solver import (
+    COLORABLE,
+    CONDITION2_FAILED,
+    KS_CONTRADICTION,
+    KsInstance,
+    KsReport,
+    SolveResult,
+    build_graph,
+    canonicalize_and_dedupe,
+    eigenray_set,
+    ks_pipeline,
+    solve_coloring,
+)
+from .misalignment import (
+    AxialDensity,
+    QuadratureSpec,
+    UniformCap,
+    cap_area,
+    density_covariance_witness,
+    sphere_integral_matrix,
+)
+from .spin_core import (
+    ProjectorTriple,
+    canonical_phase,
+    euler_from_rotation,
+    hermitian_eigensystem,
+    rotation_from_euler,
+    sharp_eigenvectors,
+    sharp_projectors,
+    spin_along,
+    spin_matrices,
+    unit_from_polar,
+    wigner_d1,
+)
+from .unsharp_povm import (
+    AF,
+    AT,
+    U,
+    Alphas,
+    EffectTriple,
+    QuadratureError,
+    alphas_axial,
+    alphas_for_model,
+    alphas_uniform_cap,
+    color_assignment,
+    condition2_check,
+    effects,
+    effects_from_alphas,
+    outcome_probabilities,
+    simulate_outcomes,
+    threshold_epsilon,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "AF",
+    "AT",
+    "Alphas",
+    "AxialDensity",
+    "COLORABLE",
+    "CONDITION2_FAILED",
+    "EffectTriple",
+    "KS_CONTRADICTION",
+    "KsInstance",
+    "KsReport",
+    "ProjectorTriple",
+    "QuadratureError",
+    "QuadratureSpec",
+    "SolveResult",
+    "U",
+    "UniformCap",
+    "alphas_axial",
+    "alphas_for_model",
+    "alphas_uniform_cap",
+    "brute_force_colorings",
+    "build_graph",
+    "canonical_phase",
+    "canonicalize_and_dedupe",
+    "cap_area",
+    "check_coloring",
+    "color_assignment",
+    "condition2_check",
+    "density_covariance_witness",
+    "dpll_solve",
+    "dumps_report",
+    "effects",
+    "effects_from_alphas",
+    "eigenray_set",
+    "euler_from_rotation",
+    "fixture_path",
+    "hermitian_eigensystem",
+    "ks_pipeline",
+    "load_direction_file",
+    "load_profile_file",
+    "load_ray_file",
+    "outcome_probabilities",
+    "rotation_from_euler",
+    "save_direction_file",
+    "save_ray_file",
+    "sharp_eigenvectors",
+    "sharp_projectors",
+    "simulate_outcomes",
+    "solve_coloring",
+    "sphere_integral_matrix",
+    "spin_along",
+    "spin_matrices",
+    "threshold_epsilon",
+    "unit_from_polar",
+    "wigner_d1",
+]

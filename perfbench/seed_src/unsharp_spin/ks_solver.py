@@ -1,0 +1,408 @@
+"""Ray sets, orthogonality graphs, and exhaustive AT/AF colorability.
+
+A measurement direction contributes an orthogonal triple of eigenrays; a
+set of directions yields a finite family of complex rays with an
+orthogonality graph.  A noncontextual assignment of approximate truth
+values must color every ray AT or AF so that every complete orthogonal
+tripod contains exactly one AT and no orthogonal pair contains two ATs.
+The solver here decides colorability by backtracking with constraint
+propagation and can exhaustively count colorings; verdicts are
+deterministic (fixed iteration and branching order) and every SAT answer
+is re-validated by an independent checker.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .crosscheck import check_coloring
+from .spin_core import as_unit_vector, canonical_phase, sharp_eigenvectors
+from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
+
+DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
+ORTHO_TOL = 1e-9              # |<u,v>| at or below this means "orthogonal"
+
+KS_CONTRADICTION = "KS_CONTRADICTION"
+CONDITION2_FAILED = "CONDITION2_FAILED"
+COLORABLE = "COLORABLE"
+
+
+def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
+    """Normalize, phase-fix and deduplicate a list of complex 3-vectors.
+
+    Rays are kept in order of first occurrence; two vectors are the same
+    ray when their overlap magnitude is at least 1 - 1e-9.  Zero vectors
+    are rejected.
+    """
+    rays: list[np.ndarray] = []
+    for k, v in enumerate(vectors):
+        arr = np.asarray(v, dtype=complex)
+        if arr.shape != (3,):
+            raise ValueError(f"rays[{k}] must be a 3-vector, got shape {arr.shape}")
+        if np.linalg.norm(arr) < 1e-12:
+            raise ValueError(f"rays[{k}] is a zero vector")
+        ray = canonical_phase(arr)
+        if not any(abs(np.vdot(known, ray)) >= DEDUPE_OVERLAP for known in rays):
+            rays.append(ray)
+    return rays
+
+
+@dataclass(frozen=True)
+class KsInstance:
+    """A deduplicated ray set with its orthogonality structure.
+
+    ``ortho_pairs`` lists index pairs (i < j) of orthogonal rays and
+    ``tripods`` lists index triples (i < j < k) of mutually orthogonal
+    rays; three mutually orthogonal rays always span the space.  Every
+    tripod's three edges appear in ``ortho_pairs``.
+    """
+
+    name: str
+    rays: tuple
+    ortho_pairs: tuple
+    tripods: tuple
+
+    @property
+    def ray_count(self) -> int:
+        return len(self.rays)
+
+
+def build_graph(rays, name: str = "rayset", tol: float = ORTHO_TOL) -> KsInstance:
+    """Orthogonality graph and tripod list of a deduplicated ray list."""
+    rays = [np.asarray(r, dtype=complex) for r in rays]
+    n = len(rays)
+    gram = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            gram[i, j] = abs(np.vdot(rays[i], rays[j]))
+            if gram[i, j] >= DEDUPE_OVERLAP:
+                raise ValueError(
+                    f"rays {i} and {j} are the same ray; deduplicate first"
+                )
+    pairs = []
+    adjacency = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram[i, j] <= tol:
+                pairs.append((i, j))
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    tripods = []
+    for i, j in pairs:
+        for k in sorted(adjacency[i] & adjacency[j]):
+            if k > j:
+                tripods.append((i, j, k))
+    return KsInstance(name, tuple(rays), tuple(pairs), tuple(tripods))
+
+
+def eigenray_set(directions, name: str = "eigenrays") -> list[np.ndarray]:
+    """Shared eigenrays of the (sharp and unsharp) observables of a
+    direction set, canonicalized and deduplicated.
+
+    Per direction these are the three eigenrays of the directional spin
+    observable; the unsharp effects have the same eigenrays, and taking
+    them from the sharp triple keeps the choice deterministic even though
+    the outcome-0 effect is spectrally degenerate.  Note the directions
+    themselves are generally not among the rays.
+    """
+    if len(directions) == 0:
+        raise ValueError("directions must be a non-empty list")
+    vectors = []
+    for n in directions:
+        vectors.extend(sharp_eigenvectors(as_unit_vector(n)))
+    return canonicalize_and_dedupe(vectors)
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of a colorability search.
+
+    ``verdict`` is "SAT" or "UNSAT".  SAT results carry a verified
+    coloring (ray index -> AT/AF) and, in count_all mode, the exact number
+    of valid colorings.  UNSAT results carry exhaustive-search statistics:
+    branch nodes explored and maximum decision depth.
+    """
+
+    verdict: str
+    coloring: dict | None = None
+    count: int | None = None
+    nodes_explored: int = 0
+    max_depth: int = 0
+
+    @property
+    def is_sat(self) -> bool:
+        return self.verdict == "SAT"
+
+
+class _Search:
+    """Backtracking search state with propagation to closure.
+
+    Propagation rules: an AT ray forces AF on all orthogonality
+    neighbors; a tripod with two AF members forces AT on the third; a
+    tripod with three AF members is a contradiction.  Branching picks the
+    most-constrained unsatisfied tripod (fewest uncolored members, then
+    lowest index) and tries AT before AF on its first uncolored ray.
+    """
+
+    def __init__(self, instance: KsInstance, count_all: bool):
+        self.instance = instance
+        self.count_all = count_all
+        n = instance.ray_count
+        self.colors: list[str | None] = [None] * n
+        self.neighbors = [[] for _ in range(n)]
+        for i, j in instance.ortho_pairs:
+            self.neighbors[i].append(j)
+            self.neighbors[j].append(i)
+        self.tripods_of = [[] for _ in range(n)]
+        for t, tripod in enumerate(instance.tripods):
+            for i in tripod:
+                self.tripods_of[i].append(t)
+        self.at_in_tripod = [0] * len(instance.tripods)
+        self.af_in_tripod = [0] * len(instance.tripods)
+        self.trail: list[int] = []
+        self.nodes = 0
+        self.max_depth = 0
+        self.count = 0
+        self.first_solution: dict | None = None
+
+    # -- assignment with undo ------------------------------------------------
+
+    def _assign(self, ray: int, color: str, queue: list) -> bool:
+        existing = self.colors[ray]
+        if existing is not None:
+            return existing == color
+        self.colors[ray] = color
+        self.trail.append(ray)
+        # update every counter before any early return: _undo reverses all
+        # of them unconditionally, so bookkeeping must stay symmetric
+        if color == AT:
+            for t in self.tripods_of[ray]:
+                self.at_in_tripod[t] += 1
+            for t in self.tripods_of[ray]:
+                if self.at_in_tripod[t] > 1:
+                    return False
+            for other in self.neighbors[ray]:
+                queue.append((other, AF))
+        else:
+            for t in self.tripods_of[ray]:
+                self.af_in_tripod[t] += 1
+            for t in self.tripods_of[ray]:
+                if self.af_in_tripod[t] == 3:
+                    return False
+                if self.af_in_tripod[t] == 2 and self.at_in_tripod[t] == 0:
+                    for member in self.instance.tripods[t]:
+                        if self.colors[member] is None:
+                            queue.append((member, AT))
+        return True
+
+    def _propagate(self, ray: int, color: str) -> int | None:
+        """Assign and propagate to closure; returns a trail checkpoint to
+        undo to, or None on contradiction."""
+        mark = len(self.trail)
+        queue = [(ray, color)]
+        while queue:
+            r, c = queue.pop()
+            if not self._assign(r, c, queue):
+                self._undo(mark)
+                return None
+        return mark
+
+    def _undo(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            ray = self.trail.pop()
+            color = self.colors[ray]
+            self.colors[ray] = None
+            for t in self.tripods_of[ray]:
+                if color == AT:
+                    self.at_in_tripod[t] -= 1
+                else:
+                    self.af_in_tripod[t] -= 1
+
+    # -- branching -----------------------------------------------------------
+
+    def _pick_branch_ray(self) -> int | None:
+        best_ray, best_uncolored = None, 4
+        for t, tripod in enumerate(self.instance.tripods):
+            if self.at_in_tripod[t] > 0:
+                continue
+            uncolored = [i for i in tripod if self.colors[i] is None]
+            if uncolored and len(uncolored) < best_uncolored:
+                best_uncolored = len(uncolored)
+                best_ray = uncolored[0]
+                if best_uncolored == 1:
+                    break
+        if best_ray is not None:
+            return best_ray
+        if self.count_all:
+            for i in range(self.instance.ray_count):
+                if self.colors[i] is None:
+                    return i
+        return None
+
+    def _record_solution(self) -> None:
+        coloring = {
+            i: (self.colors[i] if self.colors[i] is not None else AF)
+            for i in range(self.instance.ray_count)
+        }
+        if self.first_solution is None:
+            self.first_solution = coloring
+        self.count += 1
+
+    def run(self, depth: int = 0) -> bool:
+        """Depth-first search; returns True to stop early (SAT found and
+        not counting)."""
+        self.max_depth = max(self.max_depth, depth)
+        ray = self._pick_branch_ray()
+        if ray is None:
+            # Every tripod has its AT; in decision mode any leftover rays
+            # can be AF, which violates nothing.
+            self._record_solution()
+            return not self.count_all
+        for color in (AT, AF):
+            self.nodes += 1
+            mark = self._propagate(ray, color)
+            if mark is None:
+                continue
+            if self.run(depth + 1):
+                return True
+            self._undo(mark)
+        return False
+
+
+def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveResult:
+    """Decide AT/AF colorability of a ray instance.
+
+    Constraints: exactly one AT in every tripod, at most one AT in every
+    orthogonal pair.  Modes: ``first_solution`` stops at the first valid
+    coloring, ``count_all`` exhausts the space and reports the exact
+    number of valid colorings, ``prove`` behaves like ``first_solution``
+    (an exhausted search is the UNSAT certificate in either mode).
+
+    SAT results are re-validated with the independent constraint checker
+    before being returned; UNSAT is only reported after the search space
+    is exhausted.
+    """
+    if mode not in ("first_solution", "count_all", "prove"):
+        raise ValueError(f"unknown mode {mode!r}")
+    search = _Search(instance, count_all=(mode == "count_all"))
+    search.run()
+    if search.first_solution is None:
+        return SolveResult(
+            "UNSAT", nodes_explored=search.nodes, max_depth=search.max_depth
+        )
+    ok, violations = check_coloring(instance, search.first_solution)
+    if not ok:
+        raise RuntimeError(
+            f"solver returned a coloring that fails the independent check: {violations}"
+        )
+    return SolveResult(
+        "SAT",
+        coloring=search.first_solution,
+        count=search.count if mode == "count_all" else None,
+        nodes_explored=search.nodes,
+        max_depth=search.max_depth,
+    )
+
+
+@dataclass(frozen=True)
+class KsReport:
+    """Full verdict for a direction set, misalignment model and tolerance.
+
+    ``conclusion`` is KS_CONTRADICTION when the separation condition holds
+    and the eigenray instance is non-colorable, CONDITION2_FAILED when the
+    model is too unsharp for the tolerance (no colorability claim is made),
+    and COLORABLE when a valid coloring exists.
+    """
+
+    name: str
+    delta: float
+    model_description: str
+    alphas: Alphas
+    condition2_ok: bool
+    condition2_margins: dict
+    ray_count: int
+    ortho_pair_count: int
+    tripod_count: int
+    solve: SolveResult | None
+    conclusion: str
+    tripod_reading: str = field(
+        default="all complete orthonormal tripods in the eigenray set, "
+        "including tripods that mix eigenrays of different directions"
+    )
+
+    def to_dict(self) -> dict:
+        """Plain-dict form with stable key order, for report files."""
+        solve = None
+        if self.solve is not None:
+            coloring = None
+            if self.solve.coloring is not None:
+                coloring = [self.solve.coloring[i] for i in sorted(self.solve.coloring)]
+            solve = {
+                "verdict": self.solve.verdict,
+                "nodes_explored": self.solve.nodes_explored,
+                "max_depth": self.solve.max_depth,
+                "count": self.solve.count,
+                "coloring": coloring,
+            }
+        a1, a2, a3, a4 = self.alphas.as_tuple()
+        return {
+            "name": self.name,
+            "delta": self.delta,
+            "model": self.model_description,
+            "alphas": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
+            "condition2": {"ok": self.condition2_ok, "margins": self.condition2_margins},
+            "ray_count": self.ray_count,
+            "ortho_pair_count": self.ortho_pair_count,
+            "tripod_count": self.tripod_count,
+            "solve": solve,
+            "conclusion": self.conclusion,
+            "tripod_reading": self.tripod_reading,
+        }
+
+
+def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsReport:
+    """End-to-end check that a direction set admits no noncontextual
+    assignment of approximate truth values.
+
+    Computes the effect eigenvalues of the model, checks the separation
+    condition for ``delta`` (if it fails, no claim about colorability can
+    be made and the report says so), then builds the eigenray instance of
+    the directions and runs the exhaustive coloring search.
+    """
+    if len(directions) == 0:
+        raise ValueError("directions must be a non-empty list")
+    alphas = alphas_for_model(model)
+    ok, margins = condition2_check(alphas, delta)
+    if not ok:
+        return KsReport(
+            name=name,
+            delta=float(delta),
+            model_description=model.describe(),
+            alphas=alphas,
+            condition2_ok=False,
+            condition2_margins=margins,
+            ray_count=0,
+            ortho_pair_count=0,
+            tripod_count=0,
+            solve=None,
+            conclusion=CONDITION2_FAILED,
+        )
+    rays = eigenray_set(directions)
+    instance = build_graph(rays, name=name)
+    result = solve_coloring(instance, mode="first_solution")
+    conclusion = COLORABLE if result.is_sat else KS_CONTRADICTION
+    return KsReport(
+        name=name,
+        delta=float(delta),
+        model_description=model.describe(),
+        alphas=alphas,
+        condition2_ok=True,
+        condition2_margins=margins,
+        ray_count=instance.ray_count,
+        ortho_pair_count=len(instance.ortho_pairs),
+        tripod_count=len(instance.tripods),
+        solve=result,
+        conclusion=conclusion,
+    )

@@ -1,0 +1,281 @@
+"""Spin-1 operator algebra.
+
+Spin component matrices, directional spin observables and their rank-1
+eigenprojectors, z-y-z Euler rotations, the spin-1 unitary action of
+spatial rotations, and small Hermitian eigensystems.  Everything operates
+on plain numpy arrays; all returned arrays are fresh copies owned by the
+caller.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+SQRT2 = float(np.sqrt(2.0))
+
+UNIT_TOL = 1e-12          # |n.n - 1| tolerance for unit vectors
+ORTHO_TOL = 1e-12         # rotation-matrix orthogonality tolerance
+PHASE_TOL = 1e-9          # "first nonzero component" threshold for phase fixing
+
+_SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
+_SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
+_SZ = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
+
+X_AXIS = np.array([1.0, 0.0, 0.0])
+Y_AXIS = np.array([0.0, 1.0, 0.0])
+Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return the spin-1 component matrices (S_x, S_y, S_z).
+
+    The basis is ordered by magnetic quantum number (+1, 0, -1), so
+    S_z = diag(1, 0, -1).  The three matrices obey the angular momentum
+    algebra [S_x, S_y] = i S_z and cyclic permutations, and each has
+    eigenvalues {1, 0, -1}.
+    """
+    return _SX.copy(), _SY.copy(), _SZ.copy()
+
+
+def as_unit_vector(n, name: str = "direction") -> np.ndarray:
+    """Validate and return ``n`` as a float unit 3-vector."""
+    v = np.asarray(n, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite components")
+    nn = float(v @ v)
+    if abs(nn - 1.0) > UNIT_TOL:
+        raise ValueError(f"{name} must be a unit vector (|n|^2 - 1 = {nn - 1.0:.3e})")
+    return v.copy()
+
+
+def unit_from_polar(theta: float, phi: float) -> np.ndarray:
+    """Unit vector with polar angle ``theta`` and azimuth ``phi`` (radians)."""
+    st = np.sin(theta)
+    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+
+
+def polar_from_unit(n) -> tuple[float, float]:
+    """Polar coordinates (theta, phi) of a unit vector; phi = 0 at the poles."""
+    v = as_unit_vector(n)
+    theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
+    phi = float(np.arctan2(v[1], v[0]))
+    return theta, phi
+
+
+def spin_along(n) -> np.ndarray:
+    """Spin observable n . S for a unit direction ``n``.
+
+    Has eigenvalues {1, 0, -1} for every unit ``n``.  Non-unit input is
+    rejected.
+    """
+    v = as_unit_vector(n)
+    return v[0] * _SX + v[1] * _SY + v[2] * _SZ
+
+
+def canonical_phase(v, tol: float = PHASE_TOL) -> np.ndarray:
+    """Normalize ``v`` and fix its global phase.
+
+    The returned vector has unit norm and its first component with
+    magnitude above ``tol`` is real and positive, which makes rays
+    comparable across runs.
+    """
+    w = np.asarray(v, dtype=complex)
+    norm = float(np.linalg.norm(w))
+    if norm < 1e-12:
+        raise ValueError("cannot canonicalize a zero vector")
+    w = w / norm
+    for k in range(w.shape[0]):
+        a = abs(w[k])
+        if a > tol:
+            w = w * (w[k].conjugate() / a)
+            w[k] = w[k].real  # discard residual imaginary dust
+            break
+    return w
+
+
+def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors of spin_along(n) for eigenvalues (+1, 0, -1).
+
+    Built from the closed forms in the polar angles of ``n`` rather than a
+    numerical eigensolve, so the vectors are deterministic, exactly
+    orthonormal up to rounding, and phase-canonicalized.
+    """
+    v = as_unit_vector(n)
+    theta, phi = polar_from_unit(v)
+    c2 = np.cos(theta / 2.0)
+    s2 = np.sin(theta / 2.0)
+    st = np.sin(theta)
+    ephi = np.exp(1j * phi)
+    psi_plus = np.array([c2 * c2, ephi * st / SQRT2, ephi * ephi * s2 * s2])
+    psi_zero = np.array([-st / (SQRT2 * ephi), np.cos(theta) + 0j, ephi * st / SQRT2])
+    psi_minus = np.array([s2 * s2 / (ephi * ephi), -st / (SQRT2 * ephi), c2 * c2 + 0j])
+    return (
+        canonical_phase(psi_plus),
+        canonical_phase(psi_zero),
+        canonical_phase(psi_minus),
+    )
+
+
+@dataclass(frozen=True)
+class ProjectorTriple:
+    """The three rank-1 eigenprojectors of a directional spin observable.
+
+    ``p_plus``, ``p_zero``, ``p_minus`` project onto the eigenvectors of
+    spin_along(direction) with eigenvalues +1, 0, -1.  They are idempotent,
+    mutually orthogonal, and sum to the identity.
+    """
+
+    direction: np.ndarray
+    p_plus: np.ndarray
+    p_zero: np.ndarray
+    p_minus: np.ndarray
+
+    def __post_init__(self):
+        # share-safely: instances are immutable after construction
+        for arr in (self.direction, self.p_plus, self.p_zero, self.p_minus):
+            arr.setflags(write=False)
+
+    def projector(self, outcome: int) -> np.ndarray:
+        return {1: self.p_plus, 0: self.p_zero, -1: self.p_minus}[outcome]
+
+    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.p_plus, self.p_zero, self.p_minus
+
+
+def sharp_projectors(n) -> ProjectorTriple:
+    """Eigenprojectors |psi_i><psi_i| of spin_along(n) for i = +1, 0, -1."""
+    vecs = sharp_eigenvectors(n)
+    pp, p0, pm = (np.outer(psi, psi.conjugate()) for psi in vecs)
+    return ProjectorTriple(as_unit_vector(n), pp, p0, pm)
+
+
+def rotation_z(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotation_y(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rotation_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Active rotation R = Rz(alpha) Ry(beta) Rz(gamma) on column vectors."""
+    return rotation_z(alpha) @ rotation_y(beta) @ rotation_z(gamma)
+
+
+def as_rotation(r, name: str = "rotation") -> np.ndarray:
+    """Validate a proper rotation matrix (orthogonal, det +1)."""
+    m = np.asarray(r, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
+    if np.max(np.abs(m.T @ m - np.eye(3))) > 1e3 * ORTHO_TOL:
+        raise ValueError(f"{name} is not orthogonal within tolerance")
+    if abs(np.linalg.det(m) - 1.0) > 1e3 * ORTHO_TOL:
+        raise ValueError(f"{name} must have determinant +1")
+    return m
+
+
+def euler_from_rotation(r) -> tuple[float, float, float]:
+    """z-y-z Euler angles (alpha, beta, gamma) with R = Rz(a) Ry(b) Rz(g).
+
+    beta is taken in [0, pi].  At the gimbal configurations beta = 0 or pi
+    the split between alpha and gamma is not unique; gamma = 0 is chosen.
+    """
+    m = as_rotation(r)
+    sb = float(np.hypot(m[0, 2], m[1, 2]))
+    beta = float(np.arctan2(sb, m[2, 2]))
+    if sb > 1e-12:
+        alpha = float(np.arctan2(m[1, 2], m[0, 2]))
+        gamma = float(np.arctan2(m[2, 1], -m[2, 0]))
+    elif m[2, 2] > 0.0:  # beta = 0: R = Rz(alpha + gamma)
+        alpha = float(np.arctan2(m[1, 0], m[0, 0]))
+        gamma = 0.0
+    else:  # beta = pi: R = Rz(alpha) Ry(pi) Rz(gamma)
+        alpha = float(np.arctan2(-m[1, 0], -m[0, 0]))
+        gamma = 0.0
+    return alpha, beta, gamma
+
+
+def _exp_spin_z(angle: float) -> np.ndarray:
+    """exp(-i angle S_z) in the (+1, 0, -1) basis."""
+    return np.diag([np.exp(-1j * angle), 1.0, np.exp(1j * angle)])
+
+
+def _exp_spin_y(angle: float) -> np.ndarray:
+    """exp(-i angle S_y): the real spin-1 rotation block about y."""
+    c, s = np.cos(angle), np.sin(angle)
+    h = s / SQRT2
+    return np.array(
+        [
+            [(1 + c) / 2, -h, (1 - c) / 2],
+            [h, c, -h],
+            [(1 - c) / 2, h, (1 + c) / 2],
+        ],
+        dtype=complex,
+    )
+
+
+def spin1_representation(r) -> np.ndarray:
+    """The spin-1 unitary of a rotation, U(R) = e^{-ia S_z} e^{-ib S_y} e^{-ig S_z}.
+
+    Built from the z-y-z Euler angles of ``R``.  This is the genuine
+    (single-valued) representation: U(R1 R2) = U(R1) U(R2), and it acts on
+    directional observables as U(R) S_n U(R)^dag = S_{R n}.
+    """
+    alpha, beta, gamma = euler_from_rotation(r)
+    return _exp_spin_z(alpha) @ _exp_spin_y(beta) @ _exp_spin_z(gamma)
+
+
+def wigner_d1(r) -> np.ndarray:
+    """Spin-1 rotation unitary in the inverse-action convention.
+
+    Returns D(R) such that conjugation pulls a directional observable back
+    along the rotation: D(R) S_m D(R)^{-1} = S_{R^{-1} m}, and likewise for
+    the eigenprojectors and the unsharp effects built from them.  Note the
+    composition order is reversed under this convention:
+    D(R1 R2) = D(R2) D(R1).
+    """
+    return spin1_representation(r).conj().T
+
+
+def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian 3x3.
+
+    Returns ``(values, vectors)`` with ``vectors[:, k]`` the unit
+    eigenvector for ``values[k]``, phase-canonicalized.  For degenerate
+    eigenvalues any orthonormal basis of the eigenspace may be returned.
+    """
+    m = np.asarray(h, dtype=complex)
+    if m.shape != (3, 3):
+        raise ValueError(f"operator must be 3x3, got shape {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise ValueError("operator is not Hermitian within tolerance")
+    values, vectors = np.linalg.eigh(m)
+    order = np.argsort(values)[::-1]
+    values = values[order]
+    vectors = vectors[:, order]
+    for k in range(3):
+        vectors[:, k] = canonical_phase(vectors[:, k])
+    return values, vectors
+
+
+def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
+    """Uniformly distributed point on the unit sphere."""
+    while True:
+        v = rng.standard_normal(3)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            return v / norm
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed rotation via z-y-z angles with uniform cos(beta)."""
+    alpha = 2.0 * np.pi * rng.random()
+    gamma = 2.0 * np.pi * rng.random()
+    beta = float(np.arccos(1.0 - 2.0 * rng.random()))
+    return rotation_from_euler(alpha, beta, gamma)

@@ -1,0 +1,405 @@
+"""Unsharp spin-1 effects from misalignment densities.
+
+An intended measurement direction n together with a misalignment model
+defines three effects F(i), i in {1, 0, -1}: each is the average of the
+sharp eigenprojectors P_{m,i} over the actually-measured direction m,
+weighted by the misalignment density.  The effects form a commuting POVM
+that shares the eigenbasis of the sharp observable along n; its
+eigenvalues are four model-dependent numbers a1..a4.  This module
+constructs the effects by spherical quadrature, evaluates the eigenvalues
+both by 1-D quadrature and in closed form for the uniform cap, locates
+the unsharpness threshold, and implements outcome probabilities, outcome
+simulation, and the threshold-based AT/AF/U ray coloring.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .misalignment import (
+    AXIAL_NODES,
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    UniformCap,
+    gauss_legendre_nodes,
+    sphere_grid,
+)
+from .spin_core import (
+    SQRT2,
+    as_unit_vector,
+    sharp_eigenvectors,
+    sharp_projectors,
+)
+
+AT = "AT"
+AF = "AF"
+U = "U"
+
+# Largest half-angle for which the threshold search is meaningful: beyond
+# 2*pi/3 the middle eigenvalue a4 of the uniform cap drops below 1/4 and
+# no admissible tolerance (delta < 0.5) can satisfy the separation
+# condition, while below it a4 is strictly decreasing.
+THRESHOLD_DOMAIN_MAX = 2.0 * np.pi / 3.0
+
+
+class QuadratureError(RuntimeError):
+    """Raised when a quadrature spec is too coarse to meet the effect
+    invariants (resolution of identity, positivity, commutation)."""
+
+
+def check_delta(delta: float) -> float:
+    """Validate an unsharpness tolerance, 0 <= delta < 0.5."""
+    if not 0.0 <= delta < 0.5:
+        raise ValueError(f"delta must satisfy 0 <= delta < 0.5, got {delta}")
+    return float(delta)
+
+
+@dataclass(frozen=True)
+class Alphas:
+    """The four possible eigenvalues of the unsharp effects.
+
+    For an axially symmetric misalignment density, the outcome +1 and -1
+    effects have spectrum {a1, a2, a3} and the outcome 0 effect has
+    spectrum {a2, a4, a2}; each spectrum sums to 1.
+    """
+
+    a1: float
+    a2: float
+    a3: float
+    a4: float
+
+    def __post_init__(self):
+        vals = (self.a1, self.a2, self.a3, self.a4)
+        for name, v in zip(("a1", "a2", "a3", "a4"), vals):
+            if not -1e-10 <= v <= 1.0 + 1e-10:
+                raise ValueError(f"{name} = {v} is outside [0, 1]")
+        if abs(self.a1 + self.a2 + self.a3 - 1.0) > 1e-10:
+            raise ValueError("a1 + a2 + a3 must equal 1")
+        if abs(2.0 * self.a2 + self.a4 - 1.0) > 1e-10:
+            raise ValueError("2*a2 + a4 must equal 1")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return self.a1, self.a2, self.a3, self.a4
+
+    def spectrum(self, outcome: int) -> tuple[float, float, float]:
+        """Eigenvalues of the outcome's effect on the (+1, 0, -1) eigenrays."""
+        return {
+            1: (self.a1, self.a2, self.a3),
+            0: (self.a2, self.a4, self.a2),
+            -1: (self.a3, self.a2, self.a1),
+        }[outcome]
+
+
+@dataclass(frozen=True)
+class EffectTriple:
+    """The three unsharp effects for one intended direction.
+
+    Each effect satisfies 0 <= F <= 1, the three sum to the identity, and
+    they commute pairwise (they share the sharp eigenbasis of the
+    direction).
+    """
+
+    direction: np.ndarray
+    model: object
+    f_plus: np.ndarray
+    f_zero: np.ndarray
+    f_minus: np.ndarray
+
+    def __post_init__(self):
+        # share-safely: instances are immutable after construction
+        for arr in (self.direction, self.f_plus, self.f_zero, self.f_minus):
+            arr.setflags(write=False)
+
+    def effect(self, outcome: int) -> np.ndarray:
+        return {1: self.f_plus, 0: self.f_zero, -1: self.f_minus}[outcome]
+
+    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.f_plus, self.f_zero, self.f_minus
+
+
+def _eigenvector_arrays(points: np.ndarray):
+    """Closed-form spin eigenvectors for a batch of directions.
+
+    Returns three (N, 3) complex arrays: the +1, 0 and -1 eigenvectors of
+    the spin observable along each row of ``points``.  Global phases are
+    irrelevant here; the arrays feed outer products.  Written in the
+    Cartesian components directly (w = x + iy carries the azimuthal
+    phase), which avoids transcendentals on large batches.
+    """
+    x, y, z = points[:, 0], points[:, 1], np.clip(points[:, 2], -1.0, 1.0)
+    w = (x + 1j * y) / SQRT2
+    s2 = x * x + y * y
+    # e^{2i phi}: take phi = 0 on the polar axis where it is undefined
+    e2 = np.divide(
+        (x + 1j * y) ** 2, s2, out=np.ones_like(w), where=s2 > 1e-30
+    )
+    up_half = (1.0 + z) / 2.0
+    dn_half = (1.0 - z) / 2.0
+    plus = np.stack([up_half + 0j, w, e2 * dn_half], axis=1)
+    zero = np.stack([-w.conj(), z + 0j, w], axis=1)
+    minus = np.stack([e2.conj() * dn_half, -w.conj(), up_half + 0j], axis=1)
+    return plus, zero, minus
+
+
+def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
+    effects = triple.as_tuple()
+    identity_residual = float(np.max(np.abs(sum(effects) - np.eye(3))))
+    eig_low, eig_high = 0.0, 1.0
+    for f in effects:
+        w = np.linalg.eigvalsh(f)
+        eig_low = min(eig_low, float(w[0]))
+        eig_high = max(eig_high, float(w[-1]))
+    comm = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            comm = max(comm, float(np.max(np.abs(effects[i] @ effects[j] - effects[j] @ effects[i]))))
+    problems = []
+    if identity_residual > 1e-10:
+        problems.append(f"sum-to-identity residual {identity_residual:.3e}")
+    if eig_low < -1e-10 or eig_high > 1.0 + 1e-10:
+        problems.append(f"eigenvalue range [{eig_low:.3e}, {eig_high:.3e}]")
+    if comm > 1e-10:
+        problems.append(f"pairwise commutator {comm:.3e}")
+    if problems:
+        raise QuadratureError(
+            f"quadrature spec (n_theta={spec.n_theta}, n_phi={spec.n_phi}) too "
+            "coarse for effect invariants: " + "; ".join(problems)
+        )
+
+
+def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple:
+    """Construct the unsharp effect triple for direction ``n``.
+
+    Integrates the sharp projectors against the misalignment density on a
+    grid re-poled around ``n`` and restricted to the density's support,
+    where the integrand entries are low-degree trigonometric polynomials;
+    the default spec is therefore exact to rounding for the uniform cap.
+
+    Raises QuadratureError if the spec is too coarse to meet the triple's
+    invariants.
+
+    Parameters
+    ----------
+    n : array_like
+        Intended unit direction.
+    model : UniformCap or AxialDensity
+        Misalignment density about ``n``.
+    spec : QuadratureSpec, optional
+        Node counts for the product quadrature.
+    """
+    n = as_unit_vector(n, "n")
+    u_lo, u_hi = model.support_u()
+    points, weights, local_u = sphere_grid(spec, axis=n, u_range=(u_lo, u_hi))
+    density = model.density_polar(np.arccos(np.clip(local_u, -1.0, 1.0)))
+    w = weights * density
+    plus, zero, minus = _eigenvector_arrays(points)
+    fs = []
+    for psi in (plus, zero, minus):
+        f = np.einsum("t,ti,tj->ij", w, psi, psi.conj())
+        fs.append(0.5 * (f + f.conj().T))
+    triple = EffectTriple(n, model, fs[0], fs[1], fs[2])
+    _validate_triple(triple, spec)
+    return triple
+
+
+def alphas_axial(model) -> Alphas:
+    """Effect eigenvalues of an axially symmetric model by 1-D quadrature.
+
+    Integrates the density against the four polar weight functions
+    cos^4(theta/2), sin^2(theta)/2, sin^4(theta/2) and cos^2(theta) over
+    the support of the density.
+    """
+    u_lo, u_hi = model.support_u()
+    u, w = gauss_legendre_nodes(u_lo, u_hi, AXIAL_NODES)
+    theta = np.arccos(np.clip(u, -1.0, 1.0))
+    density = model.density_polar(theta)
+    base = 2.0 * np.pi * w * density
+    a1 = float(base @ ((1.0 + u) / 2.0) ** 2)
+    a2 = float(base @ ((1.0 - u * u) / 2.0))
+    a3 = float(base @ ((1.0 - u) / 2.0) ** 2)
+    a4 = float(base @ (u * u))
+    return Alphas(a1, a2, a3, a4)
+
+
+def alphas_uniform_cap(epsilon: float) -> Alphas:
+    """Closed-form effect eigenvalues for the uniform cap of half-angle
+    ``epsilon``.
+
+    a1 = (15 + 8 cos e + cos 2e)/24, a2 = (2 + cos e) sin^2(e/2)/3,
+    a3 = sin^4(e/2)/3, a4 = (3 + 2 cos e + cos 2e)/6.
+    """
+    if not 0.0 < epsilon <= np.pi:
+        raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
+    c = np.cos(epsilon)
+    c2e = np.cos(2.0 * epsilon)
+    s_half = np.sin(epsilon / 2.0)
+    a1 = (15.0 + 8.0 * c + c2e) / 24.0
+    a2 = (2.0 + c) * s_half**2 / 3.0
+    a3 = s_half**4 / 3.0
+    a4 = (3.0 + 2.0 * c + c2e) / 6.0
+    return Alphas(float(a1), float(a2), float(a3), float(a4))
+
+
+def alphas_for_model(model) -> Alphas:
+    """Effect eigenvalues; closed form for the uniform cap, quadrature
+    otherwise."""
+    if isinstance(model, UniformCap):
+        return alphas_uniform_cap(model.epsilon)
+    return alphas_axial(model)
+
+
+def effects_from_alphas(n, alphas: Alphas) -> EffectTriple:
+    """Build the effect triple directly from its eigenvalues.
+
+    The effects are diagonal in the sharp eigenbasis of the direction:
+    F(1), F(0), F(-1) carry eigenvalues (a1, a2, a3), (a2, a4, a2) and
+    (a3, a2, a1) on the (+1, 0, -1) eigenrays.  Agrees with ``effects``
+    up to quadrature accuracy.
+    """
+    n = as_unit_vector(n, "n")
+    p_plus, p_zero, p_minus = sharp_projectors(n).as_tuple()
+    a1, a2, a3, a4 = alphas.as_tuple()
+    f_plus = a1 * p_plus + a2 * p_zero + a3 * p_minus
+    f_zero = a2 * p_plus + a4 * p_zero + a2 * p_minus
+    f_minus = a3 * p_plus + a2 * p_zero + a1 * p_minus
+    return EffectTriple(n, None, f_plus, f_zero, f_minus)
+
+
+def condition2_check(alphas: Alphas, delta: float) -> tuple[bool, dict[str, float]]:
+    """Eigenvalue-separation check for an unsharpness tolerance.
+
+    Passes when a1 and a4 are at least 1 - delta while a2 and a3 are at
+    most delta, i.e. when every eigenray of every effect is cleanly
+    "almost one" or "almost zero".  The margins report the signed slack
+    of each of the four constraints (nonnegative means satisfied).
+    """
+    delta = check_delta(delta)
+    margins = {
+        "a1": alphas.a1 - (1.0 - delta),
+        "a2": delta - alphas.a2,
+        "a3": delta - alphas.a3,
+        "a4": alphas.a4 - (1.0 - delta),
+    }
+    ok = all(m >= 0.0 for m in margins.values())
+    return ok, margins
+
+
+def threshold_epsilon(delta: float, tol: float = 1e-6) -> float:
+    """Largest uniform-cap half-angle passing the separation condition.
+
+    For the uniform cap all four eigenvalue constraints degrade
+    monotonically on (0, 2*pi/3], and a4 >= 1 - delta is the binding one,
+    so the threshold is the root of a4(eps) = 1 - delta, found by
+    bisection to ``tol`` radians.  The returned value itself satisfies the
+    condition; the other three margins are re-checked after the search.
+    """
+    delta = check_delta(delta)
+    if delta == 0.0:
+        raise ValueError("delta must be positive: only the sharp limit satisfies delta = 0")
+
+    def gap(eps: float) -> float:
+        return alphas_uniform_cap(eps).a4 - (1.0 - delta)
+
+    lo, hi = 1e-9, THRESHOLD_DOMAIN_MAX
+    if gap(lo) < 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    ok, margins = condition2_check(alphas_uniform_cap(lo), delta)
+    if not ok:
+        failing = [k for k, v in margins.items() if v < 0.0]
+        raise RuntimeError(f"threshold search ended infeasible; failing margins: {failing}")
+    return lo
+
+
+def outcome_probabilities(psi, triple: EffectTriple) -> tuple[float, float, float]:
+    """Outcome probabilities (p_plus, p_zero, p_minus) for a pure state.
+
+    p_i = <psi| F(i) |psi>; the three sum to 1 by the resolution of the
+    identity.
+    """
+    v = np.asarray(psi, dtype=complex)
+    if v.shape != (3,):
+        raise ValueError(f"state must be a 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state must be normalized (norm = {norm})")
+    probs = []
+    for outcome in (1, 0, -1):
+        p = float(np.real(v.conj() @ triple.effect(outcome) @ v))
+        probs.append(min(max(p, 0.0), 1.0))
+    return probs[0], probs[1], probs[2]
+
+
+def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, int]:
+    """Stochastic realization of an unsharp measurement.
+
+    Per trial, an actual direction m is drawn from the misalignment
+    density about ``n`` and an outcome from the sharp Born probabilities
+    |<psi_{m,i}|psi>|^2.  Returns counts for outcomes (+1, 0, -1); the
+    counts sum to ``trials`` and are reproducible for a fixed seed
+    (draw order: cos-theta block, phi block, outcome block).
+    """
+    v = np.asarray(psi, dtype=complex)
+    if v.shape != (3,):
+        raise ValueError(f"state must be a 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state must be normalized (norm = {norm})")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n = as_unit_vector(n, "n")
+
+    from .spin_core import polar_from_unit, rotation_from_euler
+
+    rng = np.random.default_rng(seed)
+    u_loc, phi_loc = model.sample_polar(rng, trials)
+    st = np.sqrt(np.clip(1.0 - u_loc * u_loc, 0.0, None))
+    local = np.stack([st * np.cos(phi_loc), st * np.sin(phi_loc), u_loc], axis=1)
+    theta_n, phi_n = polar_from_unit(n)
+    frame = rotation_from_euler(phi_n, theta_n, 0.0)
+    points = local @ frame.T
+
+    plus, zero, minus = _eigenvector_arrays(points)
+    p1 = np.abs(plus.conj() @ v) ** 2
+    p0 = np.abs(zero.conj() @ v) ** 2
+    cum1 = p1
+    cum2 = p1 + p0
+    r = rng.random(trials)
+    n_plus = int(np.count_nonzero(r < cum1))
+    n_zero = int(np.count_nonzero((r >= cum1) & (r < cum2)))
+    return n_plus, n_zero, trials - n_plus - n_zero
+
+
+def color_assignment(n, alphas: Alphas, delta: float, outcome: int):
+    """Threshold coloring of the shared eigenrays after an outcome.
+
+    The three rays are the sharp eigenrays of the direction (the unsharp
+    effects share them; the outcome-0 effect is degenerate, so the sharp
+    triple is the deterministic choice of eigenbasis).  A ray whose
+    eigenvalue under the realized effect is at least 1 - delta is colored
+    AT, at most delta AF, and anything between gets the noncommittal U.
+
+    Returns a list of (ray, color) pairs in eigenvalue order (+1, 0, -1).
+    """
+    delta = check_delta(delta)
+    if outcome not in (1, 0, -1):
+        raise ValueError(f"outcome must be one of 1, 0, -1, got {outcome}")
+    rays = sharp_eigenvectors(n)
+    spectrum = alphas.spectrum(outcome)
+    assignment = []
+    for ray, value in zip(rays, spectrum):
+        if value >= 1.0 - delta:
+            color = AT
+        elif value <= delta:
+            color = AF
+        else:
+            color = U
+        assignment.append((ray, color))
+    return assignment
