@@ -23,30 +23,61 @@ from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
 ORTHO_TOL = 1e-9              # |<u,v>| at or below this means "orthogonal"
+OVERLAP_BLOCK_ROWS = 64       # rows of |R Rᴴ| held at a time
 
 KS_CONTRADICTION = "KS_CONTRADICTION"
 CONDITION2_FAILED = "CONDITION2_FAILED"
 COLORABLE = "COLORABLE"
 
 
+def _overlap_blocks(matrix: np.ndarray):
+    """Yield ``(start, block)`` row blocks of the strict upper triangle
+    of |R Rᴴ| for the rays in the rows of ``matrix``.
+
+    ``block[r, c]`` is ``|<matrix[start + r], matrix[start + c]>|`` for
+    ``OVERLAP_BLOCK_ROWS`` rows against every ray from ``start`` on, so
+    at most ``OVERLAP_BLOCK_ROWS * n`` overlaps are held at a time.
+    Entries with ``c <= r`` (not above the diagonal) are NaN, so no
+    comparison selects them.
+    """
+    n = len(matrix)
+    for start in range(0, n, OVERLAP_BLOCK_ROWS):
+        rows = matrix[start:start + OVERLAP_BLOCK_ROWS]
+        block = np.abs(rows.conj() @ matrix[start:].T)
+        block[np.tril_indices(len(rows), 0, n - start)] = np.nan
+        yield start, block
+
+
 def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
     """Normalize, phase-fix and deduplicate a list of complex 3-vectors.
 
     Rays are kept in order of first occurrence; two vectors are the same
-    ray when their overlap magnitude is at least 1 - 1e-9.  Zero vectors
-    are rejected.
+    ray when their overlap magnitude is at least 1 - 1e-9, and a vector
+    is dropped only when it is the same ray as an earlier *kept* one
+    (so in a chain a≈b, b≈c with a≉c, b is dropped and c kept).  Zero
+    vectors are rejected.
+
+    Overlaps come from |R Rᴴ| in blocks of ``OVERLAP_BLOCK_ROWS`` rows, so
+    at most ``OVERLAP_BLOCK_ROWS * n`` overlaps are held at a time for n
+    vectors; only vectors with an earlier near-duplicate get a
+    sequential pass.
     """
-    rays: list[np.ndarray] = []
+    canonical: list[np.ndarray] = []
     for k, v in enumerate(vectors):
         arr = np.asarray(v, dtype=complex)
         if arr.shape != (3,):
             raise ValueError(f"rays[{k}] must be a 3-vector, got shape {arr.shape}")
         if np.linalg.norm(arr) < 1e-12:
             raise ValueError(f"rays[{k}] is a zero vector")
-        ray = canonical_phase(arr)
-        if not any(abs(np.vdot(known, ray)) >= DEDUPE_OVERLAP for known in rays):
-            rays.append(ray)
-    return rays
+        canonical.append(canonical_phase(arr))
+    near_duplicates_of: dict[int, list[int]] = {}
+    for start, block in _overlap_blocks(np.array(canonical)):
+        for i, j in (np.argwhere(block >= DEDUPE_OVERLAP) + start).tolist():
+            near_duplicates_of.setdefault(j, []).append(i)
+    kept = [True] * len(canonical)
+    for j in sorted(near_duplicates_of):
+        kept[j] = not any(kept[i] for i in near_duplicates_of[j])
+    return [ray for ray, keep in zip(canonical, kept) if keep]
 
 
 @dataclass(frozen=True)
@@ -70,30 +101,29 @@ class KsInstance:
 
 
 def build_graph(rays, name: str = "rayset", tol: float = ORTHO_TOL) -> KsInstance:
-    """Orthogonality graph and tripod list of a deduplicated ray list."""
+    """Orthogonality graph and tripod list of a deduplicated ray list.
+
+    Pairs (i < j) with overlap magnitude at most ``tol`` come in
+    row-major order from |R Rᴴ|, computed in blocks of
+    ``OVERLAP_BLOCK_ROWS`` rows, so at most ``OVERLAP_BLOCK_ROWS * n``
+    overlaps are held at a time for n rays.  Tripods (i, j, k) extend
+    each pair by every common later neighbor k > j.  Raises on the first
+    pair, in row-major order, that is the same ray.
+    """
     rays = [np.asarray(r, dtype=complex) for r in rays]
-    n = len(rays)
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            gram[i, j] = abs(np.vdot(rays[i], rays[j]))
-            if gram[i, j] >= DEDUPE_OVERLAP:
-                raise ValueError(
-                    f"rays {i} and {j} are the same ray; deduplicate first"
-                )
     pairs = []
-    adjacency = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i, j] <= tol:
-                pairs.append((i, j))
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    tripods = []
+    for start, block in _overlap_blocks(np.array(rays)):
+        same = np.argwhere(block >= DEDUPE_OVERLAP) + start
+        if len(same):
+            i, j = same[0].tolist()
+            raise ValueError(f"rays {i} and {j} are the same ray; deduplicate first")
+        pairs.extend(map(tuple, (np.argwhere(block <= tol) + start).tolist()))
+    later_neighbors = [set() for _ in rays]
     for i, j in pairs:
-        for k in sorted(adjacency[i] & adjacency[j]):
-            if k > j:
-                tripods.append((i, j, k))
+        later_neighbors[i].add(j)
+    tripods = [
+        (i, j, k) for i, j in pairs for k in sorted(later_neighbors[i] & later_neighbors[j])
+    ]
     return KsInstance(name, tuple(rays), tuple(pairs), tuple(tripods))
 
 
@@ -250,25 +280,38 @@ class _Search:
             self.first_solution = coloring
         self.count += 1
 
-    def run(self, depth: int = 0) -> bool:
-        """Depth-first search; returns True to stop early (SAT found and
-        not counting)."""
-        self.max_depth = max(self.max_depth, depth)
-        ray = self._pick_branch_ray()
-        if ray is None:
-            # Every tripod has its AT; in decision mode any leftover rays
-            # can be AF, which violates nothing.
-            self._record_solution()
-            return not self.count_all
-        for color in (AT, AF):
-            self.nodes += 1
-            mark = self._propagate(ray, color)
-            if mark is None:
-                continue
-            if self.run(depth + 1):
-                return True
-            self._undo(mark)
-        return False
+    def run(self) -> bool:
+        """Depth-first search on an explicit stack, so the depth is not
+        bounded by the interpreter's recursion limit; returns True to stop
+        early (SAT found and not counting)."""
+        frames: list[tuple] = []  # (ray, color, undo mark) per decision on the path
+        while True:
+            self.max_depth = max(self.max_depth, len(frames))
+            ray = self._pick_branch_ray()
+            if ray is None:
+                # Every tripod has its AT; in decision mode any leftover
+                # rays can be AF, which violates nothing.
+                self._record_solution()
+                if not self.count_all:
+                    return True
+                color = None
+            else:
+                color = AT
+            # Descend on the first color that propagates; with none left
+            # here, undo the deepest decision and try its next color.
+            while True:
+                if color is None:
+                    if not frames:
+                        return False
+                    ray, color, mark = frames.pop()
+                    self._undo(mark)
+                else:
+                    self.nodes += 1
+                    mark = self._propagate(ray, color)
+                    if mark is not None:
+                        frames.append((ray, color, mark))
+                        break
+                color = AF if color == AT else None
 
 
 def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveResult:
@@ -277,14 +320,14 @@ def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveR
     Constraints: exactly one AT in every tripod, at most one AT in every
     orthogonal pair.  Modes: ``first_solution`` stops at the first valid
     coloring, ``count_all`` exhausts the space and reports the exact
-    number of valid colorings, ``prove`` behaves like ``first_solution``
-    (an exhausted search is the UNSAT certificate in either mode).
+    number of valid colorings (an exhausted search is the UNSAT
+    certificate in either mode).
 
     SAT results are re-validated with the independent constraint checker
     before being returned; UNSAT is only reported after the search space
     is exhausted.
     """
-    if mode not in ("first_solution", "count_all", "prove"):
+    if mode not in ("first_solution", "count_all"):
         raise ValueError(f"unknown mode {mode!r}")
     search = _Search(instance, count_all=(mode == "count_all"))
     search.run()

@@ -320,7 +320,7 @@ def check_fixture_noncolorability():
     for fixture in ("peres33_rays.json", "integer49_rays.json"):
         name, rays = formats.load_ray_file(formats.fixture_path(fixture))
         instance = ks_solver.build_graph(rays, name=name)
-        result = ks_solver.solve_coloring(instance, mode="prove")
+        result = ks_solver.solve_coloring(instance)
         sat, _ = crosscheck.dpll_solve(instance)
         if result.is_sat or sat:
             return False, f"{name} unexpectedly colorable"

@@ -144,7 +144,7 @@ def test_criterion_08_peres33_noncolorability():
         start = time.perf_counter()
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
         instance = ks.build_graph(rays, name="peres-33")
-        result = ks.solve_coloring(instance, mode="prove")
+        result = ks.solve_coloring(instance, mode="first_solution")
         assert result.verdict == "UNSAT"
         rng = np.random.default_rng(8)
         for _ in range(100):

@@ -131,12 +131,15 @@ class TestSolver:
 
     def test_modes_agree(self):
         inst = two_shared_tripods()
-        assert ks.solve_coloring(inst, mode="first_solution").verdict == "SAT"
-        assert ks.solve_coloring(inst, mode="prove").verdict == "SAT"
+        first = ks.solve_coloring(inst, mode="first_solution")
+        counted = ks.solve_coloring(inst, mode="count_all")
+        assert first.verdict == counted.verdict == "SAT"
+        assert first.coloring == counted.coloring
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ks.solve_coloring(ks.build_graph(BASIS), mode="fast")
+        for mode in ("fast", "prove"):
+            with pytest.raises(ValueError, match="mode"):
+                ks.solve_coloring(ks.build_graph(BASIS), mode=mode)
 
     def test_agrees_with_brute_force_on_random_subsets(self, rng):
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
@@ -155,8 +158,8 @@ class TestSolver:
     def test_deterministic_results(self):
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
         inst = ks.build_graph(rays)
-        a = ks.solve_coloring(inst, mode="prove")
-        b = ks.solve_coloring(inst, mode="prove")
+        a = ks.solve_coloring(inst, mode="first_solution")
+        b = ks.solve_coloring(inst, mode="first_solution")
         assert a == b
 
     def test_fuzz_synthetic_instances_against_oracles(self):
@@ -207,7 +210,7 @@ class TestFixtures:
     def test_peres33_unsat(self):
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
         inst = ks.build_graph(rays, name="peres-33")
-        result = ks.solve_coloring(inst, mode="prove")
+        result = ks.solve_coloring(inst, mode="first_solution")
         assert result.verdict == "UNSAT"
         assert result.nodes_explored > 0
 
@@ -279,6 +282,18 @@ class TestPipeline:
             "conclusion",
             "tripod_reading",
         ]
+
+    def test_thousand_random_directions(self):
+        # deeper than the default recursion limit: one decision per direction
+        rng = np.random.default_rng(1000)
+        dirs = [sc.random_unit_vector(rng) for _ in range(1000)]
+        report = ks.ks_pipeline(dirs, mis.UniformCap(0.4), 0.1)
+        assert report.conclusion == ks.COLORABLE
+        assert report.ray_count == 3000
+        inst = ks.build_graph(ks.eigenray_set(dirs))
+        ok, violations = cc.check_coloring(inst, report.solve.coloring)
+        assert ok, violations
+        assert report.solve.max_depth == 1000
 
     def test_report_serialization_deterministic(self):
         _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
