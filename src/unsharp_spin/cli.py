@@ -106,7 +106,7 @@ def _model(args):
 
 
 def _quadrature(args) -> QuadratureSpec:
-    if not getattr(args, "quadrature", None):
+    if not args.quadrature:
         return QuadratureSpec()
     nt, np_ = _parse_pair(args.quadrature, "--quadrature")
     try:
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, direction=False, epsilon=False, state=False):
+    def add_common(p, direction=False, epsilon=False, state=False, quadrature=False):
         if direction:
             p.add_argument("--direction", required=True, metavar="THETA,PHI",
                            help="intended direction in polar angles")
@@ -319,12 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", required=True, metavar="A,B,C",
                            help="state amplitudes, e.g. 0,1,0 or 0.5+0.5j,0,0.707")
         p.add_argument("--profile", help="tabulated axial profile file (overrides --epsilon model)")
-        p.add_argument("--quadrature", metavar="NT,NP", help="quadrature node counts")
+        if quadrature:
+            p.add_argument("--quadrature", metavar="NT,NP", help="quadrature node counts")
         p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
         p.add_argument("--output", help="also write a JSON report to this path")
 
     p = sub.add_parser("effects", help="construct the three unsharp effects")
-    add_common(p, direction=True, epsilon=True)
+    add_common(p, direction=True, epsilon=True, quadrature=True)
     p.set_defaults(func=cmd_effects)
 
     p = sub.add_parser("alphas", help="effect eigenvalues (closed form and quadrature)")
@@ -337,22 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("prob", help="outcome probabilities for a pure state")
-    add_common(p, direction=True, epsilon=True, state=True)
+    add_common(p, direction=True, epsilon=True, state=True, quadrature=True)
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("simulate", help="stochastic outcome simulation")
-    add_common(p, direction=True, epsilon=True, state=True)
+    add_common(p, direction=True, epsilon=True, state=True, quadrature=True)
     p.add_argument("--trials", type=int, required=True, help="number of trials (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ks-check", help="noncontextuality check for a direction set")
     p.add_argument("--directions", required=True, help="direction-set file")
-    p.add_argument("--epsilon", type=float, help="uniform-cap half-angle")
+    add_common(p, epsilon=True)
     p.add_argument("--delta", type=float, required=True, help="unsharpness tolerance in [0, 0.5)")
-    p.add_argument("--profile", help="tabulated axial profile file (overrides --epsilon model)")
-    p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
-    p.add_argument("--output", help="also write a JSON report to this path")
     p.set_defaults(func=cmd_ks_check)
 
     p = sub.add_parser("verify", help="run the full invariant suite")

@@ -81,7 +81,6 @@ def dpll_solve(instance) -> tuple[bool, dict | None]:
     """
     n = instance.ray_count
     clauses = _instance_clauses(instance)
-    assignment: dict[int, bool] = {}
 
     def propagate(local: dict[int, bool]) -> dict[int, bool] | None:
         changed = True
@@ -109,22 +108,25 @@ def dpll_solve(instance) -> tuple[bool, dict | None]:
                     changed = True
         return local
 
-    def search(local: dict[int, bool]) -> dict[int, bool] | None:
-        local = propagate(dict(local))
+    # Depth-first over (parent assignment, variable, value) branches on an
+    # explicit stack, so search depth is not bounded by the recursion
+    # limit; the True branch is pushed last so it is explored first.
+    model = None
+    stack = [({}, None, None)]
+    while stack:
+        parent, var, value = stack.pop()
+        local = dict(parent)
+        if var is not None:
+            local[var] = value
+        local = propagate(local)
         if local is None:
-            return None
+            continue
         var = next((v for v in range(n) if v not in local), None)
         if var is None:
-            return local
-        for value in (True, False):
-            attempt = dict(local)
-            attempt[var] = value
-            result = search(attempt)
-            if result is not None:
-                return result
-        return None
-
-    model = search(assignment)
+            model = local
+            break
+        stack.append((local, var, False))
+        stack.append((local, var, True))
     if model is None:
         return False, None
     coloring = {v: ("AT" if model.get(v, False) else "AF") for v in range(n)}

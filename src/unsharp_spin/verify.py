@@ -37,6 +37,9 @@ SEED = 20210314
 
 EPS_GRID = (0.1, 0.459, 1.0, np.pi)
 
+# smallest cap half-angle the random effect checks draw
+EPS_MIN = 0.02
+
 
 def _cap_profile(theta):
     return np.cos(theta / 2.0) ** 2
@@ -70,7 +73,7 @@ def check_rotation_composition():
         r1, r2 = random_rotation(rng), random_rotation(rng)
         forward = spin1_representation(r1 @ r2) - spin1_representation(r1) @ spin1_representation(r2)
         reversed_ = wigner_d1(r1 @ r2) - wigner_d1(r2) @ wigner_d1(r1)
-        worst = max(worst, float(np.max(np.abs(forward))), float(np.max(np.abs(reversed_))))
+        worst = max(worst, float(np.linalg.norm(forward)), float(np.linalg.norm(reversed_)))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
 
@@ -86,7 +89,7 @@ def check_projector_covariance():
         original = sharp_projectors(m)
         for i in (1, 0, -1):
             delta = d @ original.projector(i) @ d.conj().T - rotated.projector(i)
-            worst = max(worst, float(np.max(np.abs(delta))))
+            worst = max(worst, float(np.linalg.norm(delta)))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
 
@@ -145,19 +148,20 @@ def check_density_covariance():
     return worst <= 1e-12, f"max witness {worst:.3e} (tol 1e-12)"
 
 
-def _random_triples(count, seed):
+def _random_pairs(count, seed):
+    """Random (direction, cap half-angle) pairs, eps in [EPS_MIN, pi]."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = random_unit_vector(rng)
-        eps = 0.05 + rng.random() * (np.pi - 0.05)
-        yield rng, n, eps
+        eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
+        yield n, eps
 
 
 def check_effect_invariants():
     """Resolution of identity, positivity, eigenvalue sums for random
     (direction, cap) pairs."""
     worst_id, worst_pos, worst_sum = 0.0, 0.0, 0.0
-    for _, n, eps in _random_triples(100, SEED + 5):
+    for n, eps in _random_pairs(100, SEED + 5):
         triple = effects(n, UniformCap(eps))
         total = sum(triple.as_tuple())
         worst_id = max(worst_id, float(np.max(np.abs(total - np.eye(3)))))
@@ -178,7 +182,7 @@ def check_effect_covariance():
     worst = 0.0
     for _ in range(100):
         n = random_unit_vector(rng)
-        eps = 0.05 + rng.random() * (np.pi - 0.05)
+        eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
         r = random_rotation(rng)
         model = UniformCap(eps)
         d = wigner_d1(r)
@@ -193,7 +197,7 @@ def check_effect_covariance():
 def check_shared_eigenbasis():
     """The sharp eigenbasis diagonalizes every effect; effects commute."""
     worst_off, worst_comm = 0.0, 0.0
-    for _, n, eps in _random_triples(100, SEED + 7):
+    for n, eps in _random_pairs(100, SEED + 7):
         triple = effects(n, UniformCap(eps))
         basis = np.column_stack(sharp_eigenvectors(n))
         for i in (1, 0, -1):
@@ -212,7 +216,7 @@ def check_shared_eigenbasis():
 def check_effect_spectra():
     """Effect eigenvalues are permutations of the four model eigenvalues."""
     worst = 0.0
-    for _, n, eps in _random_triples(100, SEED + 8):
+    for n, eps in _random_pairs(100, SEED + 8):
         triple = effects(n, UniformCap(eps))
         a = alphas_uniform_cap(eps)
         for i in (1, 0, -1):
@@ -279,7 +283,8 @@ def check_real_embedding():
 
 def check_solver_against_brute_force():
     """Verdicts and counts match exhaustive enumeration on small
-    sub-instances of the bundled ray set."""
+    sub-instances of the bundled ray set, and brute force's example
+    coloring passes the constraint checker."""
     _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
     rng = np.random.default_rng(SEED + 11)
     mismatches = 0
@@ -289,9 +294,10 @@ def check_solver_against_brute_force():
         sub = [rays[i] for i in sorted(idx)]
         instance = ks_solver.build_graph(sub)
         result = ks_solver.solve_coloring(instance, mode="count_all")
-        count, _ = crosscheck.brute_force_colorings(instance)
+        count, example = crosscheck.brute_force_colorings(instance)
         solver_count = result.count if result.is_sat else 0
-        if solver_count != count:
+        example_ok = count == 0 or crosscheck.check_coloring(instance, example)[0]
+        if result.is_sat != (count > 0) or solver_count != count or not example_ok:
             mismatches += 1
     return mismatches == 0, f"{mismatches} mismatches in 60 sampled sub-instances"
 
@@ -322,8 +328,8 @@ def check_fixture_noncolorability():
         instance = ks_solver.build_graph(rays, name=name)
         result = ks_solver.solve_coloring(instance)
         sat, _ = crosscheck.dpll_solve(instance)
-        if result.is_sat or sat:
-            return False, f"{name} unexpectedly colorable"
+        if result.is_sat or result.nodes_explored == 0 or sat:
+            return False, f"{name}: solver {result.verdict} in {result.nodes_explored} nodes, DPLL sat={sat}"
         details.append(f"{name}: UNSAT in {result.nodes_explored} nodes, DPLL agrees")
     return True, "; ".join(details)
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from unsharp_spin import cli, crosscheck, formats
+from unsharp_spin import cli, crosscheck, formats, verify
 from unsharp_spin import ks_solver as ks
 from unsharp_spin import misalignment as mis
 from unsharp_spin import spin_core as sc
@@ -69,52 +69,23 @@ def test_criterion_02_closed_form_vs_quadrature():
 def test_criterion_03_povm_invariants():
     with criterion(3, "resolution of identity, positivity, eigenvalue sums (100 cases)"):
         start = time.perf_counter()
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = sc.random_unit_vector(rng)
-            eps = 0.02 + rng.random() * (np.pi - 0.02)
-            triple = up.effects(n, mis.UniformCap(eps))
-            assert float(np.max(np.abs(sum(triple.as_tuple()) - np.eye(3)))) <= 1e-10
-            for i in (1, 0, -1):
-                w = np.linalg.eigvalsh(triple.effect(i))
-                assert w[0] >= -1e-10 and w[-1] <= 1 + 1e-10
-                assert abs(float(np.sum(w)) - 1.0) <= 1e-8
+        ok, detail = verify.check_effect_invariants()
+        assert ok, detail
         assert time.perf_counter() - start < 30.0
 
 
 def test_criterion_04_effect_covariance():
     with criterion(4, "rotation covariance of the effects (100 cases)"):
         start = time.perf_counter()
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            n = sc.random_unit_vector(rng)
-            r = sc.random_rotation(rng)
-            eps = 0.02 + rng.random() * (np.pi - 0.02)
-            model = mis.UniformCap(eps)
-            d = sc.wigner_d1(r)
-            t1 = up.effects(n, model)
-            t2 = up.effects(r.T @ n, model)
-            for i in (1, 0, -1):
-                assert fnorm(d @ t1.effect(i) @ d.conj().T - t2.effect(i)) <= 1e-8
+        ok, detail = verify.check_effect_covariance()
+        assert ok, detail
         assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_05_shared_eigenbasis():
     with criterion(5, "sharp basis diagonalizes the effects; effects commute (100 cases)"):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            n = sc.random_unit_vector(rng)
-            eps = 0.02 + rng.random() * (np.pi - 0.02)
-            triple = up.effects(n, mis.UniformCap(eps))
-            basis = np.column_stack(sc.sharp_eigenvectors(n))
-            for i in (1, 0, -1):
-                conj = basis.conj().T @ triple.effect(i) @ basis
-                off = conj - np.diag(np.diag(conj))
-                assert float(np.max(np.abs(off))) <= 1e-10
-            fs = triple.as_tuple()
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    assert fnorm(fs[a] @ fs[b] - fs[b] @ fs[a]) <= 1e-10
+        ok, detail = verify.check_shared_eigenbasis()
+        assert ok, detail
 
 
 def test_criterion_06_sharp_limit():

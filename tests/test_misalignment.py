@@ -138,16 +138,6 @@ class TestSphereIntegralMatrix:
         fine = run(mis.QuadratureSpec(64, 64))
         assert max_abs(coarse - fine) < 1e-8
 
-    def test_rotational_invariance_of_measure(self):
-        r = sc.rotation_from_euler(0.4, 1.0, 2.2)
-
-        def f(m):
-            return np.outer(m, m) * (1 + m[2] ** 2)
-
-        lhs = mis.sphere_integral_matrix(lambda m: f(r @ m), lambda m: 1.0, mis.QuadratureSpec())
-        rhs = mis.sphere_integral_matrix(f, lambda m: 1.0, mis.QuadratureSpec())
-        assert max_abs(lhs - rhs) < 1e-8
-
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
             mis.sphere_integral_matrix(
