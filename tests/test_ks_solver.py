@@ -186,15 +186,32 @@ class TestFixtures:
         assert name == "peres-33"
         assert len(rays) == 33
 
-    def test_integer49_loads_49_rays(self):
-        _, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
-        assert len(rays) == 49
-
     def test_peres33_graph_structure(self):
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
         inst = ks.build_graph(rays)
         assert len(inst.ortho_pairs) == 72
         assert len(inst.tripods) == 16
+
+    def test_peres33_unsat(self):
+        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+        inst = ks.build_graph(rays, name="peres-33")
+        result = ks.solve_coloring(inst, mode="first_solution")
+        assert result.verdict == "UNSAT"
+        assert result.nodes_explored > 0
+
+    def test_peres33_dpll_agrees(self):
+        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+        inst = ks.build_graph(rays)
+        sat, _ = cc.dpll_solve(inst)
+        assert not sat
+
+    def test_integer49_unsat_both_ways(self):
+        name, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
+        assert len(rays) == 49
+        inst = ks.build_graph(rays, name=name)
+        assert ks.solve_coloring(inst).verdict == "UNSAT"
+        sat, _ = cc.dpll_solve(inst)
+        assert not sat
 
 
 class TestPipeline:

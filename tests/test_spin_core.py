@@ -46,6 +46,14 @@ class TestSpinAlong:
         with pytest.raises(ValueError, match="unit"):
             sc.spin_along([1.0, 1.0, 0.0])
 
+    def test_spectral_decomposition(self, rng=None):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = sc.random_unit_vector(rng)
+            triple = sc.sharp_projectors(n)
+            recombined = triple.p_plus - triple.p_minus
+            assert max_abs(recombined - sc.spin_along(n)) < 1e-12
+
 
 class TestSharpProjectors:
     def test_z_plus_projector(self):
@@ -111,6 +119,16 @@ class TestSharpProjectors:
                 oracle = np.outer(v[:, k], v[:, k].conj())
                 assert max_abs(proj - oracle) < 1e-10
 
+    def test_triple_invariants(self, rng):
+        for _ in range(50):
+            triple = sc.sharp_projectors(sc.random_unit_vector(rng))
+            ps = triple.as_tuple()
+            assert max_abs(sum(ps) - np.eye(3)) < 1e-12
+            for i in range(3):
+                assert max_abs(ps[i] @ ps[i] - ps[i]) < 1e-12
+                for j in range(i + 1, 3):
+                    assert max_abs(ps[i] @ ps[j]) < 1e-12
+
     def test_poles(self):
         for n in ([0, 0, 1], [0, 0, -1]):
             triple = sc.sharp_projectors(n)
@@ -167,6 +185,22 @@ class TestWignerD1:
         d = sc.wigner_d1(sc.rotation_y(np.pi))
         out = d @ np.diag([1.0, 0, 0]).astype(complex) @ d.conj().T
         assert max_abs(out - np.diag([0.0, 0, 1.0])) < 1e-12
+
+    def test_composition_is_reversed(self, rng):
+        # conjugating by D(R) pulls directions back along R, so D composes
+        # contravariantly: D(R1 R2) = D(R2) D(R1)
+        for _ in range(100):
+            r1, r2 = sc.random_rotation(rng), sc.random_rotation(rng)
+            lhs = sc.wigner_d1(r1 @ r2)
+            rhs = sc.wigner_d1(r2) @ sc.wigner_d1(r1)
+            assert float(np.linalg.norm(lhs - rhs)) < 1e-10
+
+    def test_representation_homomorphism(self, rng):
+        for _ in range(100):
+            r1, r2 = sc.random_rotation(rng), sc.random_rotation(rng)
+            lhs = sc.spin1_representation(r1 @ r2)
+            rhs = sc.spin1_representation(r1) @ sc.spin1_representation(r2)
+            assert float(np.linalg.norm(lhs - rhs)) < 1e-10
 
     def test_against_expm_oracle(self, rng):
         # oracle: exponentiate the generators by eigendecomposition

@@ -36,6 +36,12 @@ class TestAlphas:
         got = up.alphas_uniform_cap(eps).as_tuple()
         assert max_abs(np.array(got) - np.array(ORACLE_ALPHAS[eps])) < 1e-13
 
+    @pytest.mark.parametrize("eps", [0.1, 0.459, 1.0, 2.0, np.pi])
+    def test_axial_quadrature_matches_closed_form(self, eps):
+        got = np.array(up.alphas_axial(mis.UniformCap(eps)).as_tuple())
+        want = np.array(up.alphas_uniform_cap(eps).as_tuple())
+        assert max_abs(got - want) < 1e-10
+
     def test_isotropic_limit(self):
         np.testing.assert_allclose(
             up.alphas_uniform_cap(np.pi).as_tuple(), [1 / 3] * 4, atol=1e-12
