@@ -46,7 +46,6 @@ from .spin_core import (
     ProjectorTriple,
     canonical_phase,
     euler_from_rotation,
-    hermitian_eigensystem,
     rotation_from_euler,
     sharp_eigenvectors,
     sharp_projectors,
@@ -112,7 +111,6 @@ __all__ = [
     "eigenray_set",
     "euler_from_rotation",
     "fixture_path",
-    "hermitian_eigensystem",
     "ks_pipeline",
     "load_direction_file",
     "load_profile_file",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crosscheck import check_coloring
-from .spin_core import as_unit_vector, canonical_phase, sharp_eigenvectors
+from .spin_core import as_unit_vector, canonical_phase, eigenvector_rows
 from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
@@ -100,10 +100,10 @@ class KsInstance:
         return len(self.rays)
 
 
-def build_graph(rays, name: str = "rayset", tol: float = ORTHO_TOL) -> KsInstance:
+def build_graph(rays, name: str = "rayset") -> KsInstance:
     """Orthogonality graph and tripod list of a deduplicated ray list.
 
-    Pairs (i < j) with overlap magnitude at most ``tol`` come in
+    Pairs (i < j) with overlap magnitude at most ``ORTHO_TOL`` come in
     row-major order from |R Rᴴ|, computed in blocks of
     ``OVERLAP_BLOCK_ROWS`` rows, so at most ``OVERLAP_BLOCK_ROWS * n``
     overlaps are held at a time for n rays.  Tripods (i, j, k) extend
@@ -117,7 +117,7 @@ def build_graph(rays, name: str = "rayset", tol: float = ORTHO_TOL) -> KsInstanc
         if len(same):
             i, j = same[0].tolist()
             raise ValueError(f"rays {i} and {j} are the same ray; deduplicate first")
-        pairs.extend(map(tuple, (np.argwhere(block <= tol) + start).tolist()))
+        pairs.extend(map(tuple, (np.argwhere(block <= ORTHO_TOL) + start).tolist()))
     later_neighbors = [set() for _ in rays]
     for i, j in pairs:
         later_neighbors[i].add(j)
@@ -139,9 +139,9 @@ def eigenray_set(directions, name: str = "eigenrays") -> list[np.ndarray]:
     """
     if len(directions) == 0:
         raise ValueError("directions must be a non-empty list")
-    vectors = []
-    for n in directions:
-        vectors.extend(sharp_eigenvectors(as_unit_vector(n)))
+    units = np.array([as_unit_vector(n) for n in directions])
+    # rows (+1, 0, -1) per direction, in direction order
+    vectors = np.stack(eigenvector_rows(units), axis=1).reshape(-1, 3)
     return canonicalize_and_dedupe(vectors)
 
 

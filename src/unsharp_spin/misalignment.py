@@ -27,15 +27,20 @@ from .spin_core import as_unit_vector, polar_from_unit, rotation_from_euler
 AXIAL_NODES = 256
 
 
+def check_epsilon(epsilon: float) -> float:
+    """Validate a misalignment half-angle, 0 < epsilon <= pi."""
+    if not 0.0 < epsilon <= np.pi:
+        raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
+    return float(epsilon)
+
+
 def cap_area(epsilon: float) -> float:
     """Area in steradians of the spherical cap of half-angle ``epsilon``.
 
     ``epsilon`` must lie in (0, pi]; the full sphere is the epsilon = pi
     case.
     """
-    if not 0.0 < epsilon <= np.pi:
-        raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
-    return 2.0 * np.pi * (1.0 - float(np.cos(epsilon)))
+    return 2.0 * np.pi * (1.0 - float(np.cos(check_epsilon(epsilon))))
 
 
 def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,33 +50,43 @@ def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.nda
     return half * x + 0.5 * (a + b), half * w
 
 
-class UniformCap:
+class _AxialModel:
+    """Density supported on the cap of half-angle ``epsilon`` about the
+    axis and depending only on the angle from it.
+
+    Subclasses supply ``density_polar(theta)``, the density per steradian
+    as a function of that angle.
+    """
+
+    def __init__(self, epsilon: float):
+        self.epsilon = check_epsilon(epsilon)
+        self._cos_eps = float(np.cos(self.epsilon))
+
+    def support_u(self) -> tuple[float, float]:
+        """Support of the density in u = cos(angle from axis)."""
+        return self._cos_eps, 1.0
+
+    def density(self, n, m) -> float:
+        """Density w_n(m) for intended direction ``n`` at direction ``m``."""
+        n = as_unit_vector(n, "n")
+        m = as_unit_vector(m, "m")
+        angle = float(np.arccos(np.clip(n @ m, -1.0, 1.0)))
+        return float(self.density_polar(angle))
+
+
+class UniformCap(_AxialModel):
     """Uniform density on the cap of half-angle ``epsilon`` about the axis.
 
     The density is 1/A inside the cap (A the cap area) and 0 outside.
     """
 
     def __init__(self, epsilon: float):
-        if not 0.0 < epsilon <= np.pi:
-            raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
-        self.epsilon = float(epsilon)
+        super().__init__(epsilon)
         self.area = cap_area(epsilon)
-        self._cos_eps = float(np.cos(epsilon))
-
-    def support_u(self) -> tuple[float, float]:
-        """Support of the density in u = cos(angle from axis)."""
-        return self._cos_eps, 1.0
 
     def density_polar(self, theta) -> np.ndarray:
-        """Density per steradian as a function of the angle from the axis."""
         theta = np.asarray(theta, dtype=float)
         return np.where(np.cos(theta) >= self._cos_eps - 1e-15, 1.0 / self.area, 0.0)
-
-    def density(self, n, m) -> float:
-        """Density w_n(m) for intended direction ``n`` at direction ``m``."""
-        n = as_unit_vector(n, "n")
-        m = as_unit_vector(m, "m")
-        return 1.0 / self.area if float(n @ m) >= self._cos_eps - 1e-15 else 0.0
 
     def sample_polar(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (cos_theta, phi) pairs about the axis; uniform on the cap."""
@@ -83,7 +98,7 @@ class UniformCap:
         return f"uniform-cap(epsilon={self.epsilon!r})"
 
 
-class AxialDensity:
+class AxialDensity(_AxialModel):
     """Axially symmetric density with a user-supplied radial profile.
 
     ``profile`` maps the angle theta in [0, epsilon] to a nonnegative
@@ -93,11 +108,9 @@ class AxialDensity:
     """
 
     def __init__(self, epsilon: float, profile):
-        if not 0.0 < epsilon <= np.pi:
-            raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
-        self.epsilon = float(epsilon)
+        super().__init__(epsilon)
         self.profile = profile
-        u, w = gauss_legendre_nodes(float(np.cos(epsilon)), 1.0, AXIAL_NODES)
+        u, w = gauss_legendre_nodes(self._cos_eps, 1.0, AXIAL_NODES)
         values = np.asarray(profile(np.arccos(np.clip(u, -1.0, 1.0))), dtype=float)
         if values.shape != u.shape:
             raise ValueError("profile must map angle arrays to same-shape arrays")
@@ -107,22 +120,12 @@ class AxialDensity:
         if mass <= 0.0:
             raise ValueError("profile has zero total mass on [0, epsilon]")
         self._norm = 1.0 / mass
-        self._cos_eps = float(np.cos(epsilon))
-
-    def support_u(self) -> tuple[float, float]:
-        return self._cos_eps, 1.0
 
     def density_polar(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         inside = np.cos(theta) >= self._cos_eps - 1e-15
         values = np.where(inside, np.asarray(self.profile(theta), dtype=float), 0.0)
         return self._norm * values
-
-    def density(self, n, m) -> float:
-        n = as_unit_vector(n, "n")
-        m = as_unit_vector(m, "m")
-        angle = float(np.arccos(np.clip(n @ m, -1.0, 1.0)))
-        return float(self.density_polar(angle))
 
     def sample_polar(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Inverse-CDF sampling of theta off a dense table, uniform phi."""
@@ -158,6 +161,22 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+def points_about_axis(u, phi, axis=None) -> np.ndarray:
+    """Unit vectors at local polar coordinates (u = cos theta, phi) about
+    ``axis``, as an (N, 3) array.
+
+    The local frame is re-poled so that its z-axis is ``axis`` (the
+    z-axis itself when ``axis`` is None).
+    """
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    local = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
+    if axis is None:
+        return local
+    theta_a, phi_a = polar_from_unit(axis)
+    frame = rotation_from_euler(phi_a, theta_a, 0.0)  # maps z to axis
+    return local @ frame.T
+
+
 def sphere_grid(
     spec: QuadratureSpec,
     axis=None,
@@ -176,18 +195,8 @@ def sphere_grid(
     wphi = 2.0 * np.pi / spec.n_phi
 
     uu = np.repeat(u, spec.n_phi)
-    pp = np.tile(phi, spec.n_theta)
-    st = np.sqrt(np.clip(1.0 - uu * uu, 0.0, None))
-    local = np.stack([st * np.cos(pp), st * np.sin(pp), uu], axis=1)
     weights = np.repeat(wu, spec.n_phi) * wphi
-
-    if axis is None:
-        points = local
-    else:
-        theta_a, phi_a = polar_from_unit(axis)
-        frame = rotation_from_euler(phi_a, theta_a, 0.0)  # maps z to axis
-        points = local @ frame.T
-    return points, weights, uu
+    return points_about_axis(uu, np.tile(phi, spec.n_theta), axis), weights, uu
 
 
 def sphere_integral_matrix(

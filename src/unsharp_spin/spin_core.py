@@ -1,10 +1,9 @@
 """Spin-1 operator algebra.
 
 Spin component matrices, directional spin observables and their rank-1
-eigenprojectors, z-y-z Euler rotations, the spin-1 unitary action of
-spatial rotations, and small Hermitian eigensystems.  Everything operates
-on plain numpy arrays; all returned arrays are fresh copies owned by the
-caller.
+eigenprojectors, z-y-z Euler rotations, and the spin-1 unitary action of
+spatial rotations.  Everything operates on plain numpy arrays; all
+returned arrays are fresh copies owned by the caller.
 """
 
 from __future__ import annotations
@@ -76,11 +75,11 @@ def spin_along(n) -> np.ndarray:
     return v[0] * _SX + v[1] * _SY + v[2] * _SZ
 
 
-def canonical_phase(v, tol: float = PHASE_TOL) -> np.ndarray:
+def canonical_phase(v) -> np.ndarray:
     """Normalize ``v`` and fix its global phase.
 
     The returned vector has unit norm and its first component with
-    magnitude above ``tol`` is real and positive, which makes rays
+    magnitude above ``PHASE_TOL`` is real and positive, which makes rays
     comparable across runs.
     """
     w = np.asarray(v, dtype=complex)
@@ -90,34 +89,48 @@ def canonical_phase(v, tol: float = PHASE_TOL) -> np.ndarray:
     w = w / norm
     for k in range(w.shape[0]):
         a = abs(w[k])
-        if a > tol:
+        if a > PHASE_TOL:
             w = w * (w[k].conjugate() / a)
             w[k] = w[k].real  # discard residual imaginary dust
             break
     return w
 
 
+def eigenvector_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigenvectors of the spin observable along each row of
+    ``points``.
+
+    Returns three (N, 3) complex arrays: the +1, 0 and -1 eigenvectors for
+    each direction, in unit norm but with no phase fixed.  Each row is
+    normalized first, so a direction that is unit only within
+    ``UNIT_TOL`` still yields a triple orthonormal to rounding.  Written
+    in the Cartesian components (w = x + iy carries the azimuthal phase),
+    which avoids transcendentals on large batches.
+    """
+    p = np.asarray(points, dtype=float)
+    x, y, z = (p / np.linalg.norm(p, axis=1, keepdims=True)).T
+    xy = x + 1j * y
+    w = xy / SQRT2
+    s2 = x * x + y * y
+    # e^{2i phi}: take phi = 0 on the polar axis where it is undefined
+    e2 = np.divide(xy * xy, s2, out=np.ones_like(w), where=s2 > 1e-30)
+    up_half = (1.0 + z) / 2.0
+    dn_half = (1.0 - z) / 2.0
+    plus = np.stack([up_half + 0j, w, e2 * dn_half], axis=1)
+    zero = np.stack([-w.conj(), z + 0j, w], axis=1)
+    minus = np.stack([e2.conj() * dn_half, -w.conj(), up_half + 0j], axis=1)
+    return plus, zero, minus
+
+
 def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of spin_along(n) for eigenvalues (+1, 0, -1).
 
-    Built from the closed forms in the polar angles of ``n`` rather than a
-    numerical eigensolve, so the vectors are deterministic, exactly
-    orthonormal up to rounding, and phase-canonicalized.
+    The one-direction case of ``eigenvector_rows``, phase-canonicalized:
+    closed forms rather than a numerical eigensolve, so the vectors are
+    deterministic and orthonormal up to rounding.
     """
-    v = as_unit_vector(n)
-    theta, phi = polar_from_unit(v)
-    c2 = np.cos(theta / 2.0)
-    s2 = np.sin(theta / 2.0)
-    st = np.sin(theta)
-    ephi = np.exp(1j * phi)
-    psi_plus = np.array([c2 * c2, ephi * st / SQRT2, ephi * ephi * s2 * s2])
-    psi_zero = np.array([-st / (SQRT2 * ephi), np.cos(theta) + 0j, ephi * st / SQRT2])
-    psi_minus = np.array([s2 * s2 / (ephi * ephi), -st / (SQRT2 * ephi), c2 * c2 + 0j])
-    return (
-        canonical_phase(psi_plus),
-        canonical_phase(psi_zero),
-        canonical_phase(psi_minus),
-    )
+    rows = eigenvector_rows(as_unit_vector(n)[None, :])
+    return tuple(canonical_phase(psi[0]) for psi in rows)
 
 
 @dataclass(frozen=True)
@@ -241,27 +254,6 @@ def wigner_d1(r) -> np.ndarray:
     D(R1 R2) = D(R2) D(R1).
     """
     return spin1_representation(r).conj().T
-
-
-def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian 3x3.
-
-    Returns ``(values, vectors)`` with ``vectors[:, k]`` the unit
-    eigenvector for ``values[k]``, phase-canonicalized.  For degenerate
-    eigenvalues any orthonormal basis of the eigenspace may be returned.
-    """
-    m = np.asarray(h, dtype=complex)
-    if m.shape != (3, 3):
-        raise ValueError(f"operator must be 3x3, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("operator is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(m)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(3):
-        vectors[:, k] = canonical_phase(vectors[:, k])
-    return values, vectors
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:

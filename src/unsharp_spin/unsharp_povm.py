@@ -23,12 +23,14 @@ from .misalignment import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     UniformCap,
+    check_epsilon,
     gauss_legendre_nodes,
+    points_about_axis,
     sphere_grid,
 )
 from .spin_core import (
-    SQRT2,
     as_unit_vector,
+    eigenvector_rows,
     sharp_eigenvectors,
     sharp_projectors,
 )
@@ -36,12 +38,6 @@ from .spin_core import (
 AT = "AT"
 AF = "AF"
 U = "U"
-
-# Largest half-angle for which the threshold search is meaningful: beyond
-# 2*pi/3 the middle eigenvalue a4 of the uniform cap drops below 1/4 and
-# no admissible tolerance (delta < 0.5) can satisfy the separation
-# condition, while below it a4 is strictly decreasing.
-THRESHOLD_DOMAIN_MAX = 2.0 * np.pi / 3.0
 
 
 class QuadratureError(RuntimeError):
@@ -119,30 +115,6 @@ class EffectTriple:
         return self.f_plus, self.f_zero, self.f_minus
 
 
-def _eigenvector_arrays(points: np.ndarray):
-    """Closed-form spin eigenvectors for a batch of directions.
-
-    Returns three (N, 3) complex arrays: the +1, 0 and -1 eigenvectors of
-    the spin observable along each row of ``points``.  Global phases are
-    irrelevant here; the arrays feed outer products.  Written in the
-    Cartesian components directly (w = x + iy carries the azimuthal
-    phase), which avoids transcendentals on large batches.
-    """
-    x, y, z = points[:, 0], points[:, 1], np.clip(points[:, 2], -1.0, 1.0)
-    w = (x + 1j * y) / SQRT2
-    s2 = x * x + y * y
-    # e^{2i phi}: take phi = 0 on the polar axis where it is undefined
-    e2 = np.divide(
-        (x + 1j * y) ** 2, s2, out=np.ones_like(w), where=s2 > 1e-30
-    )
-    up_half = (1.0 + z) / 2.0
-    dn_half = (1.0 - z) / 2.0
-    plus = np.stack([up_half + 0j, w, e2 * dn_half], axis=1)
-    zero = np.stack([-w.conj(), z + 0j, w], axis=1)
-    minus = np.stack([e2.conj() * dn_half, -w.conj(), up_half + 0j], axis=1)
-    return plus, zero, minus
-
-
 def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
     effects = triple.as_tuple()
     identity_residual = float(np.max(np.abs(sum(effects) - np.eye(3))))
@@ -190,13 +162,11 @@ def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple
         Node counts for the product quadrature.
     """
     n = as_unit_vector(n, "n")
-    u_lo, u_hi = model.support_u()
-    points, weights, local_u = sphere_grid(spec, axis=n, u_range=(u_lo, u_hi))
+    points, weights, local_u = sphere_grid(spec, axis=n, u_range=model.support_u())
     density = model.density_polar(np.arccos(np.clip(local_u, -1.0, 1.0)))
     w = weights * density
-    plus, zero, minus = _eigenvector_arrays(points)
     fs = []
-    for psi in (plus, zero, minus):
+    for psi in eigenvector_rows(points):
         f = np.einsum("t,ti,tj->ij", w, psi, psi.conj())
         fs.append(0.5 * (f + f.conj().T))
     triple = EffectTriple(n, model, fs[0], fs[1], fs[2])
@@ -230,8 +200,7 @@ def alphas_uniform_cap(epsilon: float) -> Alphas:
     a1 = (15 + 8 cos e + cos 2e)/24, a2 = (2 + cos e) sin^2(e/2)/3,
     a3 = sin^4(e/2)/3, a4 = (3 + 2 cos e + cos 2e)/6.
     """
-    if not 0.0 < epsilon <= np.pi:
-        raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     c = np.cos(epsilon)
     c2e = np.cos(2.0 * epsilon)
     s_half = np.sin(epsilon / 2.0)
@@ -286,36 +255,39 @@ def condition2_check(alphas: Alphas, delta: float) -> tuple[bool, dict[str, floa
     return ok, margins
 
 
-def threshold_epsilon(delta: float, tol: float = 1e-6) -> float:
+def threshold_epsilon(delta: float) -> float:
     """Largest uniform-cap half-angle passing the separation condition.
 
     For the uniform cap all four eigenvalue constraints degrade
-    monotonically on (0, 2*pi/3], and a4 >= 1 - delta is the binding one,
-    so the threshold is the root of a4(eps) = 1 - delta, found by
-    bisection to ``tol`` radians.  The returned value itself satisfies the
-    condition; the other three margins are re-checked after the search.
+    monotonically on (0, 2*pi/3], and a4 >= 1 - delta is the binding one.
+    Since 1 - a4 = 2*a2 = 2 s (3 - 2 s)/3 with s = sin^2(eps/2), its root
+    is eps* = 2 arcsin(sqrt(3 delta / (3 + sqrt(9 - 12 delta)))).  Where
+    rounding makes the condition fail at that value, the search steps
+    down from it, one ulp first and then doubling the step, so the
+    returned value itself satisfies all four constraints.
     """
     delta = check_delta(delta)
     if delta == 0.0:
         raise ValueError("delta must be positive: only the sharp limit satisfies delta = 0")
+    # two square roots, not one of the quotient, which underflows to 0
+    # for subnormal delta
+    eps = 2.0 * float(np.arcsin(np.sqrt(3.0 * delta) / np.sqrt(3.0 + np.sqrt(9.0 - 12.0 * delta))))
+    step = float(np.spacing(eps))
+    while not condition2_check(alphas_uniform_cap(eps), delta)[0]:
+        eps -= step
+        step *= 2.0
+    return eps
 
-    def gap(eps: float) -> float:
-        return alphas_uniform_cap(eps).a4 - (1.0 - delta)
 
-    lo, hi = 1e-9, THRESHOLD_DOMAIN_MAX
-    if gap(lo) < 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    ok, margins = condition2_check(alphas_uniform_cap(lo), delta)
-    if not ok:
-        failing = [k for k, v in margins.items() if v < 0.0]
-        raise RuntimeError(f"threshold search ended infeasible; failing margins: {failing}")
-    return lo
+def _pure_state(psi) -> np.ndarray:
+    """Validate a normalized state 3-vector."""
+    v = np.asarray(psi, dtype=complex)
+    if v.shape != (3,):
+        raise ValueError(f"state must be a 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state must be normalized (norm = {norm})")
+    return v
 
 
 def outcome_probabilities(psi, triple: EffectTriple) -> tuple[float, float, float]:
@@ -324,12 +296,7 @@ def outcome_probabilities(psi, triple: EffectTriple) -> tuple[float, float, floa
     p_i = <psi| F(i) |psi>; the three sum to 1 by the resolution of the
     identity.
     """
-    v = np.asarray(psi, dtype=complex)
-    if v.shape != (3,):
-        raise ValueError(f"state must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"state must be normalized (norm = {norm})")
+    v = _pure_state(psi)
     probs = []
     for outcome in (1, 0, -1):
         p = float(np.real(v.conj() @ triple.effect(outcome) @ v))
@@ -346,27 +313,14 @@ def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, 
     counts sum to ``trials`` and are reproducible for a fixed seed
     (draw order: cos-theta block, phi block, outcome block).
     """
-    v = np.asarray(psi, dtype=complex)
-    if v.shape != (3,):
-        raise ValueError(f"state must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"state must be normalized (norm = {norm})")
+    v = _pure_state(psi)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = as_unit_vector(n, "n")
 
-    from .spin_core import polar_from_unit, rotation_from_euler
-
     rng = np.random.default_rng(seed)
     u_loc, phi_loc = model.sample_polar(rng, trials)
-    st = np.sqrt(np.clip(1.0 - u_loc * u_loc, 0.0, None))
-    local = np.stack([st * np.cos(phi_loc), st * np.sin(phi_loc), u_loc], axis=1)
-    theta_n, phi_n = polar_from_unit(n)
-    frame = rotation_from_euler(phi_n, theta_n, 0.0)
-    points = local @ frame.T
-
-    plus, zero, minus = _eigenvector_arrays(points)
+    plus, zero, _ = eigenvector_rows(points_about_axis(u_loc, phi_loc, n))
     p1 = np.abs(plus.conj() @ v) ** 2
     p0 = np.abs(zero.conj() @ v) ** 2
     cum1 = p1

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import max_abs
 from unsharp_spin import misalignment as mis
 from unsharp_spin import spin_core as sc
 from unsharp_spin.unsharp_povm import alphas_uniform_cap
-
-
-def max_abs(a):
-    return float(np.max(np.abs(np.asarray(a))))
 
 
 def cos2_profile(theta):

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import max_abs
 from unsharp_spin import spin_core as sc
-
-
-def max_abs(a):
-    return float(np.max(np.abs(np.asarray(a))))
 
 
 class TestSpinMatrices:
@@ -108,9 +105,12 @@ class TestSharpProjectors:
         assert abs(abs(np.vdot(vm, expect_minus)) - 1) < 1e-12
 
     def test_matches_numerical_eigendecomposition(self, rng):
-        # oracle: eigh of the spin observable, projector onto each eigenspace
-        for _ in range(25):
-            n = sc.random_unit_vector(rng)
+        # oracle: eigh of the spin observable, projector onto each eigenspace;
+        # the poles and a direction with x^2 + y^2 ~ 1e-31 take the phi = 0
+        # branch of the closed form
+        near_pole = [2e-16, 2.3e-16, 1.0]
+        fixed = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], near_pole]
+        for n in fixed + [sc.random_unit_vector(rng) for _ in range(25)]:
             s = sc.spin_along(n)
             w, v = np.linalg.eigh(s)
             triple = sc.sharp_projectors(n)
@@ -128,6 +128,14 @@ class TestSharpProjectors:
                 assert max_abs(ps[i] @ ps[i] - ps[i]) < 1e-12
                 for j in range(i + 1, 3):
                     assert max_abs(ps[i] @ ps[j]) < 1e-12
+
+    def test_near_unit_direction_gives_orthonormal_triple(self, rng):
+        # |n|^2 - 1 = 0.99e-12 passes as_unit_vector; each row is normalized
+        # before the closed form, so the triple is orthonormal to rounding
+        for _ in range(20):
+            n = sc.random_unit_vector(rng) * np.sqrt(1.0 + 0.99e-12)
+            v = np.column_stack(sc.sharp_eigenvectors(n))
+            assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-15
 
     def test_poles(self):
         for n in ([0, 0, 1], [0, 0, -1]):
@@ -214,34 +222,6 @@ class TestWignerD1:
             a, b, g = sc.euler_from_rotation(r)
             oracle = expm_herm(sz, a) @ expm_herm(sy, b) @ expm_herm(sz, g)
             assert max_abs(sc.spin1_representation(r) - oracle) < 1e-12
-
-
-class TestHermitianEigensystem:
-    def test_diagonal(self):
-        w, _ = sc.hermitian_eigensystem(np.diag([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(w, [1, 0, 0], atol=1e-14)
-
-    def test_sx_eigenvalues(self):
-        sx, _, _ = sc.spin_matrices()
-        w, _ = sc.hermitian_eigensystem(sx)
-        np.testing.assert_allclose(w, [1, 0, -1], atol=1e-12)
-
-    def test_reconstruction(self, rng):
-        for _ in range(50):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            h = a + a.conj().T
-            w, v = sc.hermitian_eigensystem(h)
-            assert np.all(np.diff(w) <= 1e-12)  # descending
-            assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-10
-            rebuilt = (v * w) @ v.conj().T
-            assert float(np.linalg.norm(rebuilt - h)) < 1e-10
-            for k in range(3):
-                assert float(np.linalg.norm(h @ v[:, k] - w[k] * v[:, k])) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            sc.hermitian_eigensystem(m)
 
 
 class TestCanonicalPhase:

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import max_abs
 from unsharp_spin import misalignment as mis
 from unsharp_spin import spin_core as sc
 from unsharp_spin import unsharp_povm as up
 
 Z = np.array([0.0, 0.0, 1.0])
-
-
-def max_abs(a):
-    return float(np.max(np.abs(np.asarray(a))))
 
 
 # Frozen from an independent high-precision quadrature of the four angular
@@ -125,7 +122,7 @@ class TestDegenerateSpectrum:
         # sharp eigenrays always diagonalize it
         eps = 0.7
         triple = up.effects(Z, mis.UniformCap(eps))
-        w, v = sc.hermitian_eigensystem(triple.f_zero)
+        w, v = np.linalg.eigh(triple.f_zero)
         a = up.alphas_uniform_cap(eps)
         np.testing.assert_allclose(np.sort(w), np.sort([a.a2, a.a4, a.a2]), atol=1e-10)
         assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-10
@@ -188,16 +185,23 @@ class TestCondition2:
 class TestThreshold:
     def test_reference_tolerance(self):
         eps = up.threshold_epsilon(0.1)
-        assert abs(eps - ORACLE_THRESHOLD[0.1]) < 2e-6
+        assert abs(eps - ORACLE_THRESHOLD[0.1]) < 1e-12
         assert abs(eps - 0.459) < 5e-4
         assert abs(np.degrees(eps) - 26.3) < 0.05
 
     def test_one_third(self):
         eps = up.threshold_epsilon(1.0 / 3.0)
-        assert abs(eps - ORACLE_THRESHOLD[1.0 / 3.0]) < 2e-6
+        assert abs(eps - ORACLE_THRESHOLD[1.0 / 3.0]) < 1e-12
 
     def test_small_delta_gives_small_epsilon(self):
         assert up.threshold_epsilon(1e-6) < 5e-3
+
+    @pytest.mark.parametrize("delta", [1e-14, 1e-20, 5e-324])
+    def test_tiny_delta_follows_sqrt_two_delta(self, delta):
+        # 1 - a4 = 2*a2 ~ eps^2/2 near the sharp limit, so eps* ~ sqrt(2 delta)
+        eps = up.threshold_epsilon(delta)
+        assert abs(eps / np.sqrt(2.0 * delta) - 1.0) < 1e-6
+        assert up.condition2_check(up.alphas_uniform_cap(eps), delta)[0]
 
     def test_condition_holds_at_threshold_and_fails_above(self):
         for delta in (0.05, 0.1, 0.3, 0.45):
