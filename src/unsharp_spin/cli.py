@@ -20,6 +20,7 @@ from .ks_solver import ks_pipeline
 from .misalignment import QuadratureSpec, UniformCap
 from .spin_core import unit_from_polar
 from .unsharp_povm import (
+    EFFECT_TOL,
     alphas_axial,
     alphas_uniform_cap,
     condition2_check,
@@ -33,14 +34,19 @@ from .unsharp_povm import (
 _OUTCOME_LABEL = {1: "+1", 0: "0", -1: "-1"}
 
 
+def _fixed(x: float, sign: str = "") -> str:
+    # fixed 1e-12 resolution: rounding dust prints as 0 (never -0) and stays put
+    return f"{round(float(x), 12) + 0.0:{sign}.12f}"
+
+
 def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+    return f"{_fixed(z.real)}{_fixed(z.imag, '+')}i"
 
 
 def _print_matrix(label: str, m: np.ndarray, out) -> None:
     out.write(f"{label}:\n")
     for row in np.asarray(m, dtype=complex):
-        out.write("  " + "  ".join(f"{_fmt_complex(z):>30s}" for z in row) + "\n")
+        out.write("  " + "  ".join(f"{_fmt_complex(z):>31s}" for z in row) + "\n")
 
 
 def _matrix_rows(m: np.ndarray) -> list[list[list[float]]]:
@@ -131,16 +137,12 @@ def cmd_effects(args, out) -> int:
     model = _model(args)
     spec = _quadrature(args)
     triple = effects(n, model, spec)
-    total = sum(triple.as_tuple())
-    residual_identity = float(np.max(np.abs(total - np.eye(3))))
-    eig_min, eig_max = 1.0, 0.0
+    residual_identity, eig_min, eig_max, _ = triple.residuals()
     for i in (1, 0, -1):
-        w = np.linalg.eigvalsh(triple.effect(i))
-        eig_min = min(eig_min, float(w[0]))
-        eig_max = max(eig_max, float(w[-1]))
         _print_matrix(f"effect({_OUTCOME_LABEL[i]})", triple.effect(i), out)
-    out.write(f"sum-to-identity residual: {residual_identity:.3e}\n")
-    out.write(f"eigenvalue range: [{eig_min:.12g}, {eig_max:.12g}]\n")
+    # effects raises QuadratureError on a residual above EFFECT_TOL
+    out.write(f"sum-to-identity residual: <= {EFFECT_TOL:g}\n")
+    out.write(f"eigenvalue range: [{_fixed(eig_min)}, {_fixed(eig_max)}]\n")
     report = {
         "command": "effects",
         "direction": [float(x) for x in n],

@@ -10,7 +10,8 @@ densities without that symmetry are deliberately not representable.
 Integration uses a product rule: Gauss-Legendre in cos(theta) restricted
 to the support of the density (restricting to the support removes the
 cap-edge discontinuity and restores fast convergence) times a uniform
-periodic trapezoid in phi.
+periodic trapezoid in phi, all in ``sphere_integral_matrix``; an unsharp
+effect F_n(i) is its integral of the projector P_{m,i} against w_n(m).
 """
 
 from __future__ import annotations
@@ -181,22 +182,16 @@ def sphere_grid(
     spec: QuadratureSpec,
     axis=None,
     u_range: tuple[float, float] = (-1.0, 1.0),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes on (part of) the sphere.
 
-    Returns ``(points, weights, local_u)`` where ``points`` is (N, 3),
-    ``weights`` sums to the area of the u-band, and ``local_u`` is the
-    cosine of the angle between each node and ``axis``.  When ``axis`` is
-    given the polar grid is re-poled so its symmetry axis is ``axis``;
-    otherwise the z-axis is used.
+    Returns (N, 3) unit vectors and (N,) weights summing to the area of
+    the u-band, u the cosine from ``axis`` (the z-axis when None).
     """
     u, wu = gauss_legendre_nodes(u_range[0], u_range[1], spec.n_theta)
     phi = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
-    wphi = 2.0 * np.pi / spec.n_phi
-
-    uu = np.repeat(u, spec.n_phi)
-    weights = np.repeat(wu, spec.n_phi) * wphi
-    return points_about_axis(uu, np.tile(phi, spec.n_theta), axis), weights, uu
+    weights = np.repeat(wu, spec.n_phi) * (2.0 * np.pi / spec.n_phi)
+    return points_about_axis(np.repeat(u, spec.n_phi), np.tile(phi, spec.n_theta), axis), weights
 
 
 def sphere_integral_matrix(
@@ -206,23 +201,20 @@ def sphere_integral_matrix(
     axis=None,
     u_range: tuple[float, float] = (-1.0, 1.0),
 ) -> np.ndarray:
-    """Quadrature approximation of the matrix integral of weight(m) f(m).
+    """Quadrature approximation of the integral of weight(m) f(m) over m.
 
-    ``f`` maps a unit 3-vector to a 3x3 array and ``weight`` to a
-    nonnegative scalar.  The node set is deterministic for a fixed spec,
-    and the reduction is an ordered sum, so results are bit-stable.  Pass
-    ``axis`` and ``u_range`` to restrict integration to a band around an
-    axis (e.g. the support of a cap density).
+    Batched: ``f`` maps the (N, 3) array of unit nodes to an (N, ...)
+    array of values and ``weight`` maps it to (N,) weights, any negative
+    one a ValueError; the result has shape (...).  The nodes are fixed
+    by the spec and the sum is one tensor contraction, so results are
+    bit-stable.  ``axis`` and ``u_range`` restrict integration to a band
+    around an axis (e.g. the support of a cap density).
     """
-    points, weights, _ = sphere_grid(spec, axis=axis, u_range=u_range)
-    total = np.zeros((3, 3), dtype=complex)
-    for point, w in zip(points, weights):
-        wv = float(weight(point))
-        if wv < 0.0:
-            raise ValueError("weight function returned a negative value")
-        if wv != 0.0:
-            total += (w * wv) * np.asarray(f(point), dtype=complex)
-    return total
+    points, weights = sphere_grid(spec, axis=axis, u_range=u_range)
+    wv = np.asarray(weight(points), dtype=float)
+    if np.any(wv < 0.0):
+        raise ValueError("weight function returned a negative value")
+    return np.tensordot(weights * wv, np.asarray(f(points)), axes=1)
 
 
 def density_covariance_witness(model, samples: int, seed: int = 0) -> float:

@@ -26,7 +26,7 @@ from .misalignment import (
     check_epsilon,
     gauss_legendre_nodes,
     points_about_axis,
-    sphere_grid,
+    sphere_integral_matrix,
 )
 from .spin_core import (
     as_unit_vector,
@@ -38,6 +38,8 @@ from .spin_core import (
 AT = "AT"
 AF = "AF"
 U = "U"
+
+EFFECT_TOL = 1e-10  # bound on each effect-triple invariant
 
 
 class QuadratureError(RuntimeError):
@@ -114,25 +116,23 @@ class EffectTriple:
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.f_plus, self.f_zero, self.f_minus
 
+    def residuals(self) -> tuple[float, float, float, float]:
+        """Sum-to-identity residual, lowest and highest eigenvalue, and
+        largest pairwise commutator of the three effects."""
+        fs = self.as_tuple()
+        eigs = np.linalg.eigvalsh(np.stack(fs))
+        comm = max(float(np.max(np.abs(fs[i] @ fs[j] - fs[j] @ fs[i]))) for i, j in ((0, 1), (0, 2), (1, 2)))
+        return float(np.max(np.abs(sum(fs) - np.eye(3)))), float(eigs.min()), float(eigs.max()), comm
+
 
 def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
-    effects = triple.as_tuple()
-    identity_residual = float(np.max(np.abs(sum(effects) - np.eye(3))))
-    eig_low, eig_high = 0.0, 1.0
-    for f in effects:
-        w = np.linalg.eigvalsh(f)
-        eig_low = min(eig_low, float(w[0]))
-        eig_high = max(eig_high, float(w[-1]))
-    comm = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            comm = max(comm, float(np.max(np.abs(effects[i] @ effects[j] - effects[j] @ effects[i]))))
+    identity_residual, eig_low, eig_high, comm = triple.residuals()
     problems = []
-    if identity_residual > 1e-10:
+    if identity_residual > EFFECT_TOL:
         problems.append(f"sum-to-identity residual {identity_residual:.3e}")
-    if eig_low < -1e-10 or eig_high > 1.0 + 1e-10:
+    if eig_low < -EFFECT_TOL or eig_high > 1.0 + EFFECT_TOL:
         problems.append(f"eigenvalue range [{eig_low:.3e}, {eig_high:.3e}]")
-    if comm > 1e-10:
+    if comm > EFFECT_TOL:
         problems.append(f"pairwise commutator {comm:.3e}")
     if problems:
         raise QuadratureError(
@@ -144,10 +144,11 @@ def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
 def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple:
     """Construct the unsharp effect triple for direction ``n``.
 
-    Integrates the sharp projectors against the misalignment density on a
-    grid re-poled around ``n`` and restricted to the density's support,
-    where the integrand entries are low-degree trigonometric polynomials;
-    the default spec is therefore exact to rounding for the uniform cap.
+    Each effect is ``sphere_integral_matrix`` of the sharp projector
+    P_{m,i} against the misalignment density w_n(m), on a grid re-poled
+    around ``n`` and restricted to the density's support, where the
+    integrand entries are low-degree trigonometric polynomials; the
+    default spec is therefore exact to rounding for the uniform cap.
 
     Raises QuadratureError if the spec is too coarse to meet the triple's
     invariants.
@@ -162,13 +163,17 @@ def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple
         Node counts for the product quadrature.
     """
     n = as_unit_vector(n, "n")
-    points, weights, local_u = sphere_grid(spec, axis=n, u_range=model.support_u())
-    density = model.density_polar(np.arccos(np.clip(local_u, -1.0, 1.0)))
-    w = weights * density
-    fs = []
-    for psi in eigenvector_rows(points):
-        f = np.einsum("t,ti,tj->ij", w, psi, psi.conj())
-        fs.append(0.5 * (f + f.conj().T))
+
+    def projectors(m):
+        # (N, 3, 3, 3): node, outcome (+1, 0, -1), matrix row, matrix column
+        rows = np.stack(eigenvector_rows(m), axis=1)
+        return rows[..., :, None] * rows[..., None, :].conj()
+
+    def density(m):
+        return model.density_polar(np.arccos(np.clip(m @ n, -1.0, 1.0)))
+
+    fs = sphere_integral_matrix(projectors, density, spec, axis=n, u_range=model.support_u())
+    fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))
     triple = EffectTriple(n, model, fs[0], fs[1], fs[2])
     _validate_triple(triple, spec)
     return triple
@@ -198,16 +203,16 @@ def alphas_uniform_cap(epsilon: float) -> Alphas:
     ``epsilon``.
 
     a1 = (15 + 8 cos e + cos 2e)/24, a2 = (2 + cos e) sin^2(e/2)/3,
-    a3 = sin^4(e/2)/3, a4 = (3 + 2 cos e + cos 2e)/6.
+    a3 = sin^4(e/2)/3, a4 = (3 + 2 cos e + cos 2e)/6, evaluated as 1 - 2 a2
+    so that 1 - a4 does not cancel for small e.
     """
     epsilon = check_epsilon(epsilon)
     c = np.cos(epsilon)
-    c2e = np.cos(2.0 * epsilon)
     s_half = np.sin(epsilon / 2.0)
-    a1 = (15.0 + 8.0 * c + c2e) / 24.0
+    a1 = (15.0 + 8.0 * c + np.cos(2.0 * epsilon)) / 24.0
     a2 = (2.0 + c) * s_half**2 / 3.0
     a3 = s_half**4 / 3.0
-    a4 = (3.0 + 2.0 * c + c2e) / 6.0
+    a4 = 1.0 - 2.0 * a2
     return Alphas(float(a1), float(a2), float(a3), float(a4))
 
 

@@ -100,9 +100,9 @@ def check_density_normalization():
     for eps in EPS_GRID:
         for model in (UniformCap(eps), AxialDensity(eps, _cap_profile)):
             mass = sphere_integral_matrix(
-                lambda m: np.eye(3),
+                lambda m: np.broadcast_to(np.eye(3), (len(m), 3, 3)),
                 lambda m, model=model: model.density_polar(
-                    np.arccos(np.clip(m[2], -1.0, 1.0))
+                    np.arccos(np.clip(m[:, 2], -1.0, 1.0))
                 ),
                 spec,
                 u_range=model.support_u(),
@@ -129,11 +129,11 @@ def check_measure_rotation_invariance():
     r = random_rotation(rng)
 
     def f(m):
-        return np.outer(m, m) * (1.0 + m[0] ** 2)
+        return m[:, :, None] * m[:, None, :] * (1.0 + m[:, 0, None, None] ** 2)
 
     spec = QuadratureSpec()
-    lhs = sphere_integral_matrix(lambda m: f(r @ m), lambda m: 1.0, spec)
-    rhs = sphere_integral_matrix(f, lambda m: 1.0, spec)
+    lhs = sphere_integral_matrix(lambda m: f(m @ r.T), lambda m: np.ones(len(m)), spec)
+    rhs = sphere_integral_matrix(f, lambda m: np.ones(len(m)), spec)
     worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 

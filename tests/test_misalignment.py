@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import max_abs
+from conftest import max_abs, per_node
 from unsharp_spin import misalignment as mis
 from unsharp_spin import spin_core as sc
 from unsharp_spin.unsharp_povm import alphas_uniform_cap
@@ -26,8 +26,8 @@ class TestCapArea:
         # integrate the cap indicator over its own support band
         eps = 0.459
         area = mis.sphere_integral_matrix(
-            lambda m: np.eye(3),
-            lambda m: 1.0,
+            per_node(lambda m: np.eye(3)),
+            per_node(lambda m: 1.0),
             mis.QuadratureSpec(),
             u_range=(np.cos(eps), 1.0),
         )
@@ -66,8 +66,8 @@ class TestAxialDensity:
         for eps in (0.1, 0.459, 1.0, np.pi):
             model = mis.AxialDensity(eps, cos2_profile)
             mass = mis.sphere_integral_matrix(
-                lambda m: np.eye(3),
-                lambda m: model.density([0, 0, 1], m),
+                per_node(lambda m: np.eye(3)),
+                per_node(lambda m: model.density([0, 0, 1], m)),
                 mis.QuadratureSpec(),
                 u_range=model.support_u(),
             )
@@ -89,7 +89,7 @@ class TestAxialDensity:
 class TestSphereIntegralMatrix:
     def test_identity_times_area(self):
         out = mis.sphere_integral_matrix(
-            lambda m: np.eye(3), lambda m: 1.0, mis.QuadratureSpec()
+            per_node(lambda m: np.eye(3)), per_node(lambda m: 1.0), mis.QuadratureSpec()
         )
         assert max_abs(out - 4 * np.pi * np.eye(3)) < 1e-10
 
@@ -97,8 +97,8 @@ class TestSphereIntegralMatrix:
         from unsharp_spin.spin_core import sharp_projectors
 
         out = mis.sphere_integral_matrix(
-            lambda m: sharp_projectors(m).p_plus,
-            lambda m: 1.0 / (4 * np.pi),
+            per_node(lambda m: sharp_projectors(m).p_plus),
+            per_node(lambda m: 1.0 / (4 * np.pi)),
             mis.QuadratureSpec(),
         )
         assert max_abs(out - np.eye(3) / 3) < 1e-8
@@ -109,8 +109,8 @@ class TestSphereIntegralMatrix:
         eps = 0.6
         model = mis.UniformCap(eps)
         out = mis.sphere_integral_matrix(
-            lambda m: sharp_projectors(m).p_plus,
-            lambda m: model.density([0, 0, 1], m),
+            per_node(lambda m: sharp_projectors(m).p_plus),
+            per_node(lambda m: model.density([0, 0, 1], m)),
             mis.QuadratureSpec(),
             u_range=model.support_u(),
         )
@@ -125,8 +125,8 @@ class TestSphereIntegralMatrix:
 
         def run(spec):
             return mis.sphere_integral_matrix(
-                lambda m: sharp_projectors(m).p_zero,
-                lambda m: model.density([0, 0, 1], m),
+                per_node(lambda m: sharp_projectors(m).p_zero),
+                per_node(lambda m: model.density([0, 0, 1], m)),
                 spec,
                 u_range=model.support_u(),
             )
@@ -136,15 +136,20 @@ class TestSphereIntegralMatrix:
         assert max_abs(coarse - fine) < 1e-8
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="negative"):
-            mis.sphere_integral_matrix(
-                lambda m: np.eye(3), lambda m: -1.0, mis.QuadratureSpec(8, 8)
-            )
+        def negative_at_one_node(points):
+            w = np.ones(len(points))
+            w[17] = -1e-300
+            return w
+
+        for weight in (per_node(lambda m: -1.0), negative_at_one_node):
+            with pytest.raises(ValueError, match="negative"):
+                mis.sphere_integral_matrix(per_node(lambda m: np.eye(3)), weight, mis.QuadratureSpec(8, 8))
 
     def test_deterministic(self):
         spec = mis.QuadratureSpec(16, 16)
-        a = mis.sphere_integral_matrix(lambda m: np.outer(m, m), lambda m: 1.0, spec)
-        b = mis.sphere_integral_matrix(lambda m: np.outer(m, m), lambda m: 1.0, spec)
+        f, w = per_node(lambda m: np.outer(m, m)), per_node(lambda m: 1.0)
+        a = mis.sphere_integral_matrix(f, w, spec)
+        b = mis.sphere_integral_matrix(f, w, spec)
         assert np.array_equal(a, b)
 
 

@@ -87,20 +87,19 @@ class TestEffects:
             assert float(np.linalg.norm(triple.effect(i) - proj.projector(i))) < 1e-5
 
     def test_matches_generic_integrator(self):
-        # the dedicated construction agrees with the generic per-node path
-        eps = 0.8
+        # effects agrees with a plain per-node sum over the same grid, and
+        # its symmetrization makes each effect Hermitian bit for bit
         n = sc.unit_from_polar(1.1, 0.4)
-        model = mis.UniformCap(eps)
         spec = mis.QuadratureSpec(32, 32)
-        triple = up.effects(n, model, spec)
-        oracle = mis.sphere_integral_matrix(
-            lambda m: sc.sharp_projectors(m).p_plus,
-            lambda m: model.density(n, m),
-            spec,
-            axis=n,
-            u_range=model.support_u(),
-        )
-        assert max_abs(triple.f_plus - oracle) < 1e-10
+        for model in (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)):
+            triple = up.effects(n, model, spec)
+            points, weights = mis.sphere_grid(spec, axis=n, u_range=model.support_u())
+            oracle = np.zeros((3, 3, 3), dtype=complex)
+            for m, w in zip(points, weights):
+                oracle += w * model.density(n, m) * np.array(sc.sharp_projectors(m).as_tuple())
+            for k, i in enumerate((1, 0, -1)):
+                assert max_abs(triple.effect(i) - oracle[k]) < 1e-10
+                assert np.array_equal(triple.effect(i), triple.effect(i).conj().T)
 
     def test_coarse_spec_raises(self):
         with pytest.raises(up.QuadratureError, match="too"):
@@ -202,6 +201,14 @@ class TestThreshold:
         eps = up.threshold_epsilon(delta)
         assert abs(eps / np.sqrt(2.0 * delta) - 1.0) < 1e-6
         assert up.condition2_check(up.alphas_uniform_cap(eps), delta)[0]
+
+    def test_closed_form_root_across_delta(self):
+        # x = 1 - cos(eps*) is the small root of x^2 - 3x + 3 delta = 0 (the
+        # quadratic in cos(eps) above); the search may not step below it
+        for delta in np.geomspace(1e-20, 0.1, 400):
+            x = 6.0 * delta / (3.0 + np.sqrt(9.0 - 12.0 * delta))
+            root = 2.0 * np.arcsin(np.sqrt(x / 2.0))
+            assert abs(up.threshold_epsilon(delta) / root - 1.0) < 1e-12, delta
 
     def test_condition_holds_at_threshold_and_fails_above(self):
         for delta in (0.05, 0.1, 0.3, 0.45):
