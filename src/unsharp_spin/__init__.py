@@ -45,7 +45,6 @@ from .misalignment import (
 from .spin_core import (
     ProjectorTriple,
     canonical_phase,
-    euler_from_rotation,
     rotation_from_euler,
     sharp_eigenvectors,
     sharp_projectors,
@@ -109,7 +108,6 @@ __all__ = [
     "effects",
     "effects_from_alphas",
     "eigenray_set",
-    "euler_from_rotation",
     "fixture_path",
     "ks_pipeline",
     "load_direction_file",

@@ -89,26 +89,13 @@ def _direction(args) -> np.ndarray:
     return unit_from_polar(_angle(theta, args.degrees), _angle(phi, args.degrees))
 
 
-def _epsilon(args) -> float:
-    eps = _angle(args.epsilon, args.degrees)
-    if not 0.0 < eps <= np.pi:
-        raise SystemExit(f"error: --epsilon must be in (0, pi] radians, got {eps}")
-    return eps
-
-
-def _delta(args) -> float:
-    if not 0.0 <= args.delta < 0.5:
-        raise SystemExit(f"error: --delta must satisfy 0 <= delta < 0.5, got {args.delta}")
-    return float(args.delta)
-
-
 def _model(args):
     if getattr(args, "profile", None):
         try:
             return formats.load_profile_file(args.profile)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"error: --profile: {exc}") from None
-    return UniformCap(_epsilon(args))
+    return UniformCap(_angle(args.epsilon, args.degrees))
 
 
 def _quadrature(args) -> QuadratureSpec:
@@ -194,9 +181,7 @@ def cmd_alphas(args, out) -> int:
 
 
 def cmd_threshold(args, out) -> int:
-    delta = _delta(args)
-    if delta == 0.0:
-        raise SystemExit("error: --delta must be positive for the threshold search")
+    delta = args.delta
     eps = threshold_epsilon(delta)
     degrees = float(np.degrees(eps))
     out.write(f"epsilon* = {eps:.3f} rad = {degrees:.1f} deg\n")
@@ -235,8 +220,6 @@ def cmd_prob(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
-    if args.trials < 1:
-        raise SystemExit(f"error: --trials must be >= 1, got {args.trials}")
     psi = _parse_state(args.state)
     n = _direction(args)
     model = _model(args)
@@ -269,11 +252,10 @@ def cmd_ks_check(args, out) -> int:
         name, directions = formats.load_direction_file(args.directions)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: --directions: {exc}") from None
-    delta = _delta(args)
     model = _model(args)
-    report = ks_pipeline(directions, model, delta, name=name)
+    report = ks_pipeline(directions, model, args.delta, name=name)
     out.write(f"direction set: {name} ({len(directions)} directions)\n")
-    out.write(f"model: {report.model_description}, delta = {delta}\n")
+    out.write(f"model: {report.model_description}, delta = {args.delta}\n")
     a1, a2, a3, a4 = report.alphas.as_tuple()
     out.write(f"alphas: a1={a1:.6f} a2={a2:.6f} a3={a3:.6f} a4={a4:.6f}\n")
     out.write(f"condition2: {'ok' if report.condition2_ok else 'FAILED'}\n")

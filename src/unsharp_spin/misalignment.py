@@ -16,6 +16,7 @@ effect F_n(i) is its integral of the projector P_{m,i} against w_n(m).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,22 @@ def cap_area(epsilon: float) -> float:
     return 2.0 * np.pi * (1.0 - float(np.cos(check_epsilon(epsilon))))
 
 
-def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to the interval [a, b]."""
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the n-node rule on [-1, 1]; read-only, since every caller shares it
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to the interval [a, b].
+
+    The rule on [-1, 1] is built once per node count; the returned arrays
+    are fresh.
+    """
+    x, w = _legendre_rule(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w
 

@@ -1,9 +1,11 @@
 """Spin-1 operator algebra.
 
 Spin component matrices, directional spin observables and their rank-1
-eigenprojectors, z-y-z Euler rotations, and the spin-1 unitary action of
-spatial rotations.  Everything operates on plain numpy arrays; all
-returned arrays are fresh copies owned by the caller.
+eigenprojectors, rotations built from z-y-z Euler angles, and the spin-1
+unitary action of spatial rotations.  Spin 1 is the vector
+representation, so that unitary is U(R) = C R C^dag for one fixed basis
+change C.  Everything operates on plain numpy arrays; all returned arrays
+are fresh copies owned by the caller.
 """
 
 from __future__ import annotations
@@ -15,16 +17,17 @@ import numpy as np
 SQRT2 = float(np.sqrt(2.0))
 
 UNIT_TOL = 1e-12          # |n.n - 1| tolerance for unit vectors
-ORTHO_TOL = 1e-12         # rotation-matrix orthogonality tolerance
+ROTATION_TOL = 1e-9       # orthogonality and determinant tolerance for rotations
 PHASE_TOL = 1e-9          # "first nonzero component" threshold for phase fixing
 
 _SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
 _SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
 _SZ = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+# Cartesian components -> (+1, 0, -1) basis.  C L_a C^dag = S_a for the
+# Cartesian generators (L_a)_bc = -i eps_abc, and column a is the outcome-0
+# eigenvector of axis a, as eigenvector_rows(np.eye(3))[1] gives it.
+_C = np.array([[-1, 1j, 0], [0, 0, SQRT2], [1, 1j, 0]]) / SQRT2
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,70 +189,32 @@ def as_rotation(r, name: str = "rotation") -> np.ndarray:
     m = np.asarray(r, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
-    if np.max(np.abs(m.T @ m - np.eye(3))) > 1e3 * ORTHO_TOL:
+    if np.max(np.abs(m.T @ m - np.eye(3))) > ROTATION_TOL:
         raise ValueError(f"{name} is not orthogonal within tolerance")
-    if abs(np.linalg.det(m) - 1.0) > 1e3 * ORTHO_TOL:
+    if abs(np.linalg.det(m) - 1.0) > ROTATION_TOL:
         raise ValueError(f"{name} must have determinant +1")
     return m
 
 
-def euler_from_rotation(r) -> tuple[float, float, float]:
-    """z-y-z Euler angles (alpha, beta, gamma) with R = Rz(a) Ry(b) Rz(g).
-
-    beta is taken in [0, pi].  At the gimbal configurations beta = 0 or pi
-    the split between alpha and gamma is not unique; gamma = 0 is chosen.
-    """
-    m = as_rotation(r)
-    sb = float(np.hypot(m[0, 2], m[1, 2]))
-    beta = float(np.arctan2(sb, m[2, 2]))
-    if sb > 1e-12:
-        alpha = float(np.arctan2(m[1, 2], m[0, 2]))
-        gamma = float(np.arctan2(m[2, 1], -m[2, 0]))
-    elif m[2, 2] > 0.0:  # beta = 0: R = Rz(alpha + gamma)
-        alpha = float(np.arctan2(m[1, 0], m[0, 0]))
-        gamma = 0.0
-    else:  # beta = pi: R = Rz(alpha) Ry(pi) Rz(gamma)
-        alpha = float(np.arctan2(-m[1, 0], -m[0, 0]))
-        gamma = 0.0
-    return alpha, beta, gamma
-
-
-def _exp_spin_z(angle: float) -> np.ndarray:
-    """exp(-i angle S_z) in the (+1, 0, -1) basis."""
-    return np.diag([np.exp(-1j * angle), 1.0, np.exp(1j * angle)])
-
-
-def _exp_spin_y(angle: float) -> np.ndarray:
-    """exp(-i angle S_y): the real spin-1 rotation block about y."""
-    c, s = np.cos(angle), np.sin(angle)
-    h = s / SQRT2
-    return np.array(
-        [
-            [(1 + c) / 2, -h, (1 - c) / 2],
-            [h, c, -h],
-            [(1 - c) / 2, h, (1 + c) / 2],
-        ],
-        dtype=complex,
-    )
-
-
 def spin1_representation(r) -> np.ndarray:
-    """The spin-1 unitary of a rotation, U(R) = e^{-ia S_z} e^{-ib S_y} e^{-ig S_z}.
+    """The spin-1 unitary of a rotation, U(R) = C R C^dag.
 
-    Built from the z-y-z Euler angles of ``R``.  This is the genuine
-    (single-valued) representation: U(R1 R2) = U(R1) U(R2), and it acts on
+    Spin 1 is the vector representation: U(R) is the rotation matrix
+    itself, carried into the (+1, 0, -1) basis by the fixed unitary C.
+    It is the genuine (single-valued) representation,
+    U(R1 R2) = U(R1) U(R2), and since C L_a C^dag = S_a it acts on
     directional observables as U(R) S_n U(R)^dag = S_{R n}.
     """
-    alpha, beta, gamma = euler_from_rotation(r)
-    return _exp_spin_z(alpha) @ _exp_spin_y(beta) @ _exp_spin_z(gamma)
+    return _C @ as_rotation(r) @ _C.conj().T
 
 
 def wigner_d1(r) -> np.ndarray:
     """Spin-1 rotation unitary in the inverse-action convention.
 
-    Returns D(R) such that conjugation pulls a directional observable back
-    along the rotation: D(R) S_m D(R)^{-1} = S_{R^{-1} m}, and likewise for
-    the eigenprojectors and the unsharp effects built from them.  Note the
+    Returns D(R) = U(R)^dag = C R^T C^dag, so that conjugation pulls a
+    directional observable back along the rotation:
+    D(R) S_m D(R)^{-1} = S_{R^{-1} m}, and likewise for the
+    eigenprojectors and the unsharp effects built from them.  Note the
     composition order is reversed under this convention:
     D(R1 R2) = D(R2) D(R1).
     """

@@ -389,13 +389,17 @@ ALL_CHECKS = [
 def run_verification(stream=None) -> tuple[bool, list[dict]]:
     """Run every check, printing one PASS/FAIL line per property.
 
+    A check that raises fails, with detail ``raised <Type>: <message>``.
     Returns ``(all_ok, results)`` where results is a list of dicts with
     keys name, ok, detail, in execution order.
     """
     results = []
     all_ok = True
     for name, func in ALL_CHECKS:
-        ok, detail = func()
+        try:
+            ok, detail = func()
+        except Exception as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
         results.append({"name": name, "ok": bool(ok), "detail": detail})
         if stream is not None:

@@ -29,8 +29,10 @@ class TestThreshold:
         assert abs(doc["epsilon_deg"] - 26.3) < 0.05
 
     def test_rejects_bad_delta(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["threshold", "--delta", "0.7"])
+        for delta in ("0.7", "0"):
+            code, _, err = run_cli(["threshold", "--delta", delta], capsys)
+            assert code == 2
+            assert "delta" in err
 
 
 class TestAlphas:
@@ -76,8 +78,9 @@ class TestEffects:
         assert "0.94914075531" in out
 
     def test_rejects_out_of_range_epsilon(self, capsys):
-        with pytest.raises(SystemExit, match="epsilon"):
-            cli.main(["effects", "--direction", "0,0", "--epsilon", "4.0"])
+        code, _, err = run_cli(["effects", "--direction", "0,0", "--epsilon", "4.0"], capsys)
+        assert code == 2
+        assert "epsilon" in err
 
     def test_custom_quadrature(self, capsys):
         code, out, _ = run_cli(
@@ -113,11 +116,15 @@ class TestProbAndSimulate:
         assert out1 == out2
 
     def test_simulate_rejects_zero_trials(self, capsys):
-        with pytest.raises(SystemExit, match="trials"):
-            cli.main([
+        code, _, err = run_cli(
+            [
                 "simulate", "--trials", "0", "--seed", "1",
                 "--state", "0,1,0", "--direction", "0,0", "--epsilon", "0.4",
-            ])
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "trials" in err
 
     def test_rejects_malformed_state(self, capsys):
         with pytest.raises(SystemExit, match="state"):
@@ -186,17 +193,25 @@ class TestKsCheck:
 class TestVerify:
     def test_pass_and_fail_lines(self, capsys, tmp_path, monkeypatch):
         # the real checks run in test_verify.py; here only the reporting
+        def raises_boom():
+            raise RuntimeError("boom")
+
         monkeypatch.setattr(
             verify,
             "ALL_CHECKS",
-            [("always-passes", lambda: (True, "fine")), ("always-fails", lambda: (False, "broken"))],
+            [
+                ("always-passes", lambda: (True, "fine")),
+                ("always-fails", lambda: (False, "broken")),
+                ("always-raises", raises_boom),
+            ],
         )
         path = tmp_path / "verify.json"
         code, out, _ = run_cli(["verify", "--output", str(path)], capsys)
         assert code == 1
         assert "PASS always-passes: fine\n" in out
         assert "FAIL always-fails: broken\n" in out
-        assert "1/2 properties passed\n" in out
+        assert "FAIL always-raises: raised RuntimeError: boom\n" in out
+        assert "1/3 properties passed\n" in out
         assert '"ok": false' in path.read_text()
 
 

@@ -39,6 +39,17 @@ class TestCapArea:
             mis.cap_area(eps)
 
 
+class TestGaussLegendreNodes:
+    def test_returned_arrays_are_fresh(self):
+        # the rule is cached by node count; a caller's write must not leak into it
+        want = np.polynomial.legendre.leggauss(16)
+        x, w = mis.gauss_legendre_nodes(-1.0, 1.0, 16)
+        x[:] = 7.0
+        w[:] = 7.0
+        x, w = mis.gauss_legendre_nodes(-1.0, 1.0, 16)
+        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+
+
 class TestUniformCap:
     def test_isotropic_density(self):
         model = mis.UniformCap(np.pi)
