@@ -151,8 +151,10 @@ class SolveResult:
 
     ``verdict`` is "SAT" or "UNSAT".  SAT results carry a verified
     coloring (ray index -> AT/AF) and, in count_all mode, the exact number
-    of valid colorings.  UNSAT results carry exhaustive-search statistics:
-    branch nodes explored and maximum decision depth.
+    of valid colorings, summed per search leaf (see ``_Search``).  Both
+    modes return the same coloring.  ``nodes_explored`` (branch nodes
+    tried) and ``max_depth`` (deepest decision path) count tripod
+    decisions only, never one node per counted coloring.
     """
 
     verdict: str
@@ -174,6 +176,15 @@ class _Search:
     tripod with three AF members is a contradiction.  Branching picks the
     most-constrained unsatisfied tripod (fewest uncolored members, then
     lowest index) and tries AT before AF on its first uncolored ray.
+
+    A node where every tripod holds its AT is a leaf.  Each AT has forced
+    AF on its neighbors, so no uncolored ray lies in a tripod or next to
+    an AT, and the only constraint left is "no two orthogonal ATs" among
+    the uncolored rays.  The leaf's colorings are therefore the
+    independent sets of the graph those rays induce; count_all adds their
+    number (``_leaf_count``) instead of branching further, so ``nodes``
+    and ``max_depth`` count tripod decisions only.  The first leaf's
+    coloring colors the uncolored rays AF in both modes.
     """
 
     def __init__(self, instance: KsInstance, count_all: bool):
@@ -263,22 +274,43 @@ class _Search:
                 best_ray = uncolored[0]
                 if best_uncolored == 1:
                     break
-        if best_ray is not None:
-            return best_ray
-        if self.count_all:
-            for i in range(self.instance.ray_count):
-                if self.colors[i] is None:
-                    return i
-        return None
+        return best_ray
 
     def _record_solution(self) -> None:
-        coloring = {
-            i: (self.colors[i] if self.colors[i] is not None else AF)
-            for i in range(self.instance.ray_count)
-        }
         if self.first_solution is None:
-            self.first_solution = coloring
-        self.count += 1
+            self.first_solution = {
+                i: (self.colors[i] if self.colors[i] is not None else AF)
+                for i in range(self.instance.ray_count)
+            }
+        if self.count_all:
+            self.count += self._leaf_count()
+
+    def _leaf_count(self) -> int:
+        """Colorings that complete a leaf: the product, over connected
+        components of the orthogonality graph on the uncolored rays, of
+        each component's number of independent sets."""
+        total = 1
+        seen = [c is not None for c in self.colors]
+        for root in range(self.instance.ray_count):
+            if seen[root]:
+                continue
+            seen[root] = True
+            component = [root]  # breadth-first order
+            for ray in component:
+                for other in self.neighbors[ray]:
+                    if not seen[other]:
+                        seen[other] = True
+                        component.append(other)
+            if len(component) == 1:
+                total *= 2
+                continue
+            bit = {ray: 1 << k for k, ray in enumerate(component)}
+            closed = [
+                bit[ray] | sum(bit[o] for o in self.neighbors[ray] if o in bit)
+                for ray in component
+            ]
+            total *= _independent_sets(closed)
+        return total
 
     def run(self) -> bool:
         """Depth-first search on an explicit stack, so the depth is not
@@ -289,8 +321,7 @@ class _Search:
             self.max_depth = max(self.max_depth, len(frames))
             ray = self._pick_branch_ray()
             if ray is None:
-                # Every tripod has its AT; in decision mode any leftover
-                # rays can be AF, which violates nothing.
+                # Every tripod has its AT: a leaf (see the class docstring).
                 self._record_solution()
                 if not self.count_all:
                     return True
@@ -314,6 +345,37 @@ class _Search:
                 color = AF if color == AT else None
 
 
+def _independent_sets(closed: list[int]) -> int:
+    """Number of independent sets of a graph on vertices 0..n-1, where
+    ``closed[v]`` is the bitmask of v and its neighbors.
+
+    Splits on the lowest remaining vertex (excluded, or included with its
+    neighbors removed), memoized by the mask of remaining vertices, on an
+    explicit stack so no graph size reaches the recursion limit.  With
+    vertices in breadth-first order a remaining mask is a suffix less
+    neighbors of decided vertices, so the memo stays small on sparse
+    graphs (linear in n on a path or a cycle).
+    """
+    full = (1 << len(closed)) - 1
+    memo = {0: 1}
+    stack = [full]
+    while stack:
+        mask = stack[-1]
+        if mask in memo:
+            stack.pop()
+            continue
+        low = mask & -mask
+        without = mask & ~low
+        with_low = mask & ~closed[low.bit_length() - 1]
+        pending = [m for m in (without, with_low) if m not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[mask] = memo[without] + memo[with_low]
+        stack.pop()
+    return memo[full]
+
+
 def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveResult:
     """Decide AT/AF colorability of a ray instance.
 
@@ -321,7 +383,11 @@ def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveR
     orthogonal pair.  Modes: ``first_solution`` stops at the first valid
     coloring, ``count_all`` exhausts the space and reports the exact
     number of valid colorings (an exhausted search is the UNSAT
-    certificate in either mode).
+    certificate in either mode).  Both branch on tripods only; at a leaf,
+    where every tripod holds its AT, count_all adds the number of
+    independent sets of the orthogonality graph on the uncolored rays, so
+    ``nodes_explored`` and ``max_depth`` count tripod decisions only.
+    Both modes return the same coloring, with leftover rays AF.
 
     SAT results are re-validated with the independent constraint checker
     before being returned; UNSAT is only reported after the search space

@@ -22,6 +22,36 @@ def two_shared_tripods():
     return ks.build_graph(rays, name="two-tripods")
 
 
+def fuzz_instances():
+    """200 random graphs on 3-12 vertices with tripods = all triangles,
+    the same shape build_graph produces; they exercise propagation undo
+    paths that ray geometries rarely hit."""
+    rng = np.random.default_rng(4242)
+    for _ in range(200):
+        n = int(rng.integers(3, 13))
+        p = rng.random() * 0.8
+        pairs, adj = [], [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    pairs.append((i, j))
+                    adj[i].add(j)
+                    adj[j].add(i)
+        tripods = [(i, j, k) for i, j in pairs for k in sorted(adj[i] & adj[j]) if k > j]
+        yield ks.KsInstance("fuzz", tuple([None] * n), tuple(pairs), tuple(tripods))
+
+
+def free_instance(n: int, pairs, tripods=()) -> ks.KsInstance:
+    return ks.KsInstance("free", (None,) * n, tuple(pairs), tuple(tripods))
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 class TestCanonicalize:
     def test_phase_and_scale_equivalence(self):
         rays = ks.canonicalize_and_dedupe(
@@ -127,6 +157,17 @@ class TestSolver:
         counted = ks.solve_coloring(inst, mode="count_all")
         assert first.verdict == counted.verdict == "SAT"
         assert first.coloring == counted.coloring
+        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+        rng = np.random.default_rng(33)
+        subsets = [
+            ks.build_graph([rays[i] for i in sorted(rng.choice(len(rays), size=k, replace=False))])
+            for k in rng.integers(3, len(rays) + 1, size=60)
+        ]
+        for inst in [*fuzz_instances(), *subsets]:
+            first = ks.solve_coloring(inst, mode="first_solution")
+            counted = ks.solve_coloring(inst, mode="count_all")
+            assert first.verdict == counted.verdict
+            assert first.coloring == counted.coloring
 
     def test_rejects_unknown_mode(self):
         for mode in ("fast", "prove"):
@@ -141,27 +182,7 @@ class TestSolver:
         assert a == b
 
     def test_fuzz_synthetic_instances_against_oracles(self):
-        # random graphs with tripods = all triangles, the same shape
-        # build_graph produces; exercises propagation undo paths that ray
-        # geometries rarely hit
-        rng = np.random.default_rng(4242)
-        for _ in range(200):
-            n = int(rng.integers(3, 13))
-            p = rng.random() * 0.8
-            pairs, adj = [], [set() for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < p:
-                        pairs.append((i, j))
-                        adj[i].add(j)
-                        adj[j].add(i)
-            tripods = [
-                (i, j, k)
-                for i, j in pairs
-                for k in sorted(adj[i] & adj[j])
-                if k > j
-            ]
-            inst = ks.KsInstance("fuzz", tuple([None] * n), tuple(pairs), tuple(tripods))
+        for inst in fuzz_instances():
             counted = ks.solve_coloring(inst, mode="count_all")
             brute_count, _ = cc.brute_force_colorings(inst)
             assert (counted.count if counted.is_sat else 0) == brute_count
@@ -171,6 +192,42 @@ class TestSolver:
             if dp_sat:
                 ok, violations = cc.check_coloring(inst, dp_model)
                 assert ok, violations
+
+    # Instances without tripods leave every ray free at the root leaf, so
+    # count_all counts independent sets; these counts lie far beyond what
+    # enumerating colorings one by one can reach.
+
+    def test_path_counts_fibonacci(self):
+        for n in range(1, 61):
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            result = ks.solve_coloring(free_instance(n, pairs), mode="count_all")
+            assert result.count == fibonacci(n + 2), n
+
+    def test_cycle_counts_lucas(self):
+        for n in range(4, 61):
+            pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+            result = ks.solve_coloring(free_instance(n, pairs), mode="count_all")
+            assert result.count == fibonacci(n - 1) + fibonacci(n + 1), n
+
+    def test_free_rays_count_powers_of_two(self):
+        result = ks.solve_coloring(free_instance(1200, ()), mode="count_all")
+        assert result.count == 2**1200
+        assert result.coloring == {i: "AF" for i in range(1200)}
+        assert result.nodes_explored == 0 and result.max_depth == 0
+
+    def test_tripod_with_pendant_path(self):
+        # Tripod (0, 1, 2); ray 0 starts a path 0-3-4-...-(2+m).  Exactly
+        # one tripod ray is AT.  If it is 0, ray 3 is AF and the path
+        # 4..(2+m) of m-1 free rays has F(m+1) independent sets.  If it is
+        # 1 or 2, ray 0 is AF and the path 3..(2+m) of m free rays has
+        # F(m+2).  Total F(m+1) + 2 F(m+2).
+        for m in (1, 5, 40):
+            pairs = [(0, 1), (0, 2), (1, 2), (0, 3)] + [(i, i + 1) for i in range(3, 2 + m)]
+            inst = free_instance(3 + m, pairs, [(0, 1, 2)])
+            result = ks.solve_coloring(inst, mode="count_all")
+            assert result.count == fibonacci(m + 1) + 2 * fibonacci(m + 2)
+            if 3 + m <= cc.BRUTE_FORCE_LIMIT:
+                assert cc.brute_force_colorings(inst)[0] == result.count
 
     def test_dpll_deeper_than_recursion_limit(self):
         # one decision per unconstrained ray, 1200 levels deep
