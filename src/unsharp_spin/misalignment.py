@@ -10,8 +10,11 @@ densities without that symmetry are deliberately not representable.
 Integration uses a product rule: Gauss-Legendre in cos(theta) restricted
 to the support of the density (restricting to the support removes the
 cap-edge discontinuity and restores fast convergence) times a uniform
-periodic trapezoid in phi, all in ``sphere_integral_matrix``; an unsharp
-effect F_n(i) is its integral of the projector P_{m,i} against w_n(m).
+periodic trapezoid in phi, all in ``sphere_integral_matrix``.  An unsharp
+effect F_n(i) is the integral of the projector P_{m,i} against w_n(m);
+since P_{m,i} is quadratic in m.S, it follows from the first and second
+moments of w_n, int w m and int w m m^T, integrated on the grid
+re-poled around n.
 """
 
 from __future__ import annotations
@@ -241,12 +244,12 @@ def density_covariance_witness(model, samples: int, seed: int = 0) -> float:
     from .spin_core import random_rotation, random_unit_vector
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        r = random_rotation(rng)
-        n = random_unit_vector(rng)
-        m = random_unit_vector(rng)
-        lhs = model.density(n, r @ m)
-        rhs = model.density(r.T @ n, m)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    r, n, m = np.empty((samples, 3, 3)), np.empty((samples, 3)), np.empty((samples, 3))
+    for k in range(samples):
+        r[k], n[k], m[k] = random_rotation(rng), random_unit_vector(rng), random_unit_vector(rng)
+    # each side rotates its own argument first, as w_n(R m) and w_{R^-1 n}(m) read
+    lhs_cos = np.einsum("ki,ki->k", n, np.einsum("kij,kj->ki", r, m))
+    rhs_cos = np.einsum("ki,ki->k", np.einsum("kji,kj->ki", r, n), m)
+    lhs = model.density_polar(np.arccos(np.clip(lhs_cos, -1.0, 1.0)))
+    rhs = model.density_polar(np.arccos(np.clip(rhs_cos, -1.0, 1.0)))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

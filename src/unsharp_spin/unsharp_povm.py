@@ -33,6 +33,7 @@ from .spin_core import (
     eigenvector_rows,
     sharp_eigenvectors,
     sharp_projectors,
+    spin_matrices,
 )
 
 AT = "AT"
@@ -40,6 +41,8 @@ AF = "AF"
 U = "U"
 
 EFFECT_TOL = 1e-10  # bound on each effect-triple invariant
+
+_S = np.stack(spin_matrices())  # (3, 3, 3): component a, row, column
 
 
 class QuadratureError(RuntimeError):
@@ -144,11 +147,17 @@ def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
 def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple:
     """Construct the unsharp effect triple for direction ``n``.
 
-    Each effect is ``sphere_integral_matrix`` of the sharp projector
-    P_{m,i} against the misalignment density w_n(m), on a grid re-poled
-    around ``n`` and restricted to the density's support, where the
-    integrand entries are low-degree trigonometric polynomials; the
-    default spec is therefore exact to rounding for the uniform cap.
+    Each effect is the average of the sharp projector P_{m,i} against the
+    misalignment density w_n(m).  Since m.S has eigenvalues {1, 0, -1},
+    P_{m,+1} = ((m.S)^2 + m.S)/2, P_{m,0} = I - (m.S)^2 and
+    P_{m,-1} = ((m.S)^2 - m.S)/2, so one ``sphere_integral_matrix`` call
+    integrates only the first and second moments mu = int w m and
+    M = int w m m^T, and the effects follow exactly from
+    int w m.S = sum_a mu_a S_a, int w (m.S)^2 = sum_ab M_ab S_a S_b and the
+    mass tr M.  The grid is re-poled around ``n`` and restricted to the
+    density's support, where the moments are low-degree trigonometric
+    polynomials; the default spec is therefore exact to rounding for the
+    uniform cap.
 
     Raises QuadratureError if the spec is too coarse to meet the triple's
     invariants.
@@ -164,15 +173,21 @@ def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple
     """
     n = as_unit_vector(n, "n")
 
-    def projectors(m):
-        # (N, 3, 3, 3): node, outcome (+1, 0, -1), matrix row, matrix column
-        rows = np.stack(eigenvector_rows(m), axis=1)
-        return rows[..., :, None] * rows[..., None, :].conj()
+    def moments(m):
+        # (N, 4, 3): row 0 is m, rows 1-3 are m m^T; built node-last, so
+        # each product runs over contiguous memory
+        x = np.ones((4, len(m)))
+        x[1:] = m.T
+        return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
 
     def density(m):
         return model.density_polar(np.arccos(np.clip(m @ n, -1.0, 1.0)))
 
-    fs = sphere_integral_matrix(projectors, density, spec, axis=n, u_range=model.support_u())
+    moment = sphere_integral_matrix(moments, density, spec, axis=n, u_range=model.support_u())
+    mu, big_m = moment[0], moment[1:]
+    linear = np.tensordot(mu, _S, axes=1)  # int w m.S
+    square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=0)  # int w (m.S)^2
+    fs = np.stack([(square + linear) / 2.0, np.trace(big_m) * np.eye(3) - square, (square - linear) / 2.0])
     fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))
     triple = EffectTriple(n, model, fs[0], fs[1], fs[2])
     _validate_triple(triple, spec)

@@ -46,17 +46,20 @@ def _cap_profile(theta):
 
 
 def check_projector_triples():
-    """Idempotence, mutual orthogonality, completeness, spectral sum."""
+    """Idempotence, mutual orthogonality, completeness, spectral sum, and
+    P_+ + P_- = (n.S)^2, the identity ``effects`` integrates by."""
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(100):
         n = random_unit_vector(rng)
         triple = sharp_projectors(n)
         ps = triple.as_tuple()
+        s_n = spin_along(n)
         total = sum(ps)
         worst = max(worst, float(np.max(np.abs(total - np.eye(3)))))
         spectral = ps[0] - ps[2]
-        worst = max(worst, float(np.max(np.abs(spectral - spin_along(n)))))
+        worst = max(worst, float(np.max(np.abs(spectral - s_n))))
+        worst = max(worst, float(np.max(np.abs(ps[0] + ps[2] - s_n @ s_n))))
         for i in range(3):
             worst = max(worst, float(np.max(np.abs(ps[i] @ ps[i] - ps[i]))))
             for j in range(i + 1, 3):
@@ -214,15 +217,19 @@ def check_shared_eigenbasis():
 
 
 def check_effect_spectra():
-    """Effect eigenvalues are permutations of the four model eigenvalues."""
+    """Effect eigenvalues are permutations of the four model eigenvalues,
+    and each sits on the sharp eigenray the outcome assigns it to."""
     worst = 0.0
     for n, eps in _random_pairs(100, SEED + 8):
         triple = effects(n, UniformCap(eps))
         a = alphas_uniform_cap(eps)
+        basis = np.column_stack(sharp_eigenvectors(n))
         for i in (1, 0, -1):
             got = np.sort(np.linalg.eigvalsh(triple.effect(i)))
             want = np.sort(a.spectrum(i))
             worst = max(worst, float(np.max(np.abs(got - want))))
+            on_rays = np.diag(basis.conj().T @ triple.effect(i) @ basis)
+            worst = max(worst, float(np.max(np.abs(on_rays - a.spectrum(i)))))
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 
 

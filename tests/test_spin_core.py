@@ -137,6 +137,17 @@ class TestSharpProjectors:
             v = np.column_stack(sc.sharp_eigenvectors(n))
             assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-15
 
+    def test_projectors_are_quadratic_in_spin_along(self, rng):
+        # eigenvalues {1, 0, -1} make each projector a polynomial in n.S
+        for _ in range(50):
+            n = sc.random_unit_vector(rng)
+            s_n = sc.spin_along(n)
+            square = s_n @ s_n
+            triple = sc.sharp_projectors(n)
+            assert max_abs(triple.p_plus - (square + s_n) / 2) < 1e-12
+            assert max_abs(triple.p_zero - (np.eye(3) - square)) < 1e-12
+            assert max_abs(triple.p_minus - (square - s_n) / 2) < 1e-12
+
     def test_poles(self):
         for n in ([0, 0, 1], [0, 0, -1]):
             triple = sc.sharp_projectors(n)

@@ -88,22 +88,30 @@ class TestEffects:
 
     def test_matches_generic_integrator(self):
         # effects agrees with a plain per-node sum over the same grid, and
-        # its symmetrization makes each effect Hermitian bit for bit
-        n = sc.unit_from_polar(1.1, 0.4)
+        # its symmetrization makes each effect Hermitian bit for bit; the
+        # poles and a direction within rounding of one exercise the re-poling
         spec = mis.QuadratureSpec(32, 32)
-        for model in (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)):
-            triple = up.effects(n, model, spec)
-            points, weights = mis.sphere_grid(spec, axis=n, u_range=model.support_u())
-            oracle = np.zeros((3, 3, 3), dtype=complex)
-            for m, w in zip(points, weights):
-                oracle += w * model.density(n, m) * np.array(sc.sharp_projectors(m).as_tuple())
-            for k, i in enumerate((1, 0, -1)):
-                assert max_abs(triple.effect(i) - oracle[k]) < 1e-10
-                assert np.array_equal(triple.effect(i), triple.effect(i).conj().T)
+        for n in (sc.unit_from_polar(1.1, 0.4), Z, -Z, np.array([2e-16, 2.3e-16, 1.0])):
+            for model in (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)):
+                triple = up.effects(n, model, spec)
+                points, weights = mis.sphere_grid(spec, axis=n, u_range=model.support_u())
+                oracle = np.zeros((3, 3, 3), dtype=complex)
+                for m, w in zip(points, weights):
+                    oracle += w * model.density(n, m) * np.array(sc.sharp_projectors(m).as_tuple())
+                for k, i in enumerate((1, 0, -1)):
+                    assert max_abs(triple.effect(i) - oracle[k]) < 1e-10
+                    assert np.array_equal(triple.effect(i), triple.effect(i).conj().T)
 
     def test_coarse_spec_raises(self):
         with pytest.raises(up.QuadratureError, match="too"):
             up.effects(Z, mis.UniformCap(1.0), mis.QuadratureSpec(64, 2))
+
+    def test_missed_normalization_raises(self):
+        # a profile linear in the angle has a square-root kink in cos(theta),
+        # so an 8-node rule misses the density's mass, and the effects'
+        # sum-to-identity residual must show it
+        with pytest.raises(up.QuadratureError, match="sum-to-identity"):
+            up.effects(Z, mis.AxialDensity(0.6, lambda t: t), mis.QuadratureSpec(8, 16))
 
     def test_axial_model(self):
         model = mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)
