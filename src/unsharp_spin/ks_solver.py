@@ -13,7 +13,7 @@ is re-validated by an independent checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -436,10 +436,6 @@ class KsReport:
     tripod_count: int
     solve: SolveResult | None
     conclusion: str
-    tripod_reading: str = field(
-        default="all complete orthonormal tripods in the eigenray set, "
-        "including tripods that mix eigenrays of different directions"
-    )
 
     def to_dict(self) -> dict:
         """Plain-dict form with stable key order, for report files."""
@@ -467,7 +463,6 @@ class KsReport:
             "tripod_count": self.tripod_count,
             "solve": solve,
             "conclusion": self.conclusion,
-            "tripod_reading": self.tripod_reading,
         }
 
 

@@ -7,10 +7,13 @@ Axial symmetry makes the density rotation covariant by construction,
 w_n(R m) = w_{R^-1 n}(m), which the downstream effect algebra relies on;
 densities without that symmetry are deliberately not representable.
 
-Integration uses a product rule: Gauss-Legendre in cos(theta) restricted
-to the support of the density (restricting to the support removes the
+Integration uses a product rule: Gauss-Legendre in theta restricted to
+the support of the density (restricting to the support removes the
 cap-edge discontinuity and restores fast convergence) times a uniform
-periodic trapezoid in phi, all in ``sphere_integral_matrix``.  An unsharp
+periodic trapezoid in phi, all in ``sphere_integral_matrix``.  The nodes
+are taken in theta, not cos(theta): a profile with a term linear in theta
+has a square-root kink in cos(theta) at the axis, where Gauss-Legendre in
+cos(theta) converges only algebraically.  An unsharp
 effect F_n(i) is the integral of the projector P_{m,i} against w_n(m);
 since P_{m,i} is quadratic in m.S, it follows from the first and second
 moments of w_n, int w m and int w m m^T, integrated on the grid
@@ -66,6 +69,14 @@ def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.nda
     x, w = _legendre_rule(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w
+
+
+def _polar_rule(u_lo: float, u_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre in theta over the band u_lo <= cos(theta) <= u_hi,
+    # returned as nodes u = cos(theta) with the Jacobian in the weights,
+    # so that sum(w f(u)) approximates the integral of f over u
+    theta, w = gauss_legendre_nodes(np.arccos(u_hi), np.arccos(u_lo), n)
+    return np.cos(theta), w * np.sin(theta)
 
 
 class _AxialModel:
@@ -128,7 +139,7 @@ class AxialDensity(_AxialModel):
     def __init__(self, epsilon: float, profile):
         super().__init__(epsilon)
         self.profile = profile
-        u, w = gauss_legendre_nodes(self._cos_eps, 1.0, AXIAL_NODES)
+        u, w = _polar_rule(self._cos_eps, 1.0, AXIAL_NODES)
         values = np.asarray(profile(np.arccos(np.clip(u, -1.0, 1.0))), dtype=float)
         if values.shape != u.shape:
             raise ValueError("profile must map angle arrays to same-shape arrays")
@@ -163,8 +174,8 @@ class AxialDensity(_AxialModel):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts for the product quadrature: Gauss-Legendre in cos(theta)
-    by ``n_theta`` and periodic trapezoid in phi by ``n_phi``."""
+    """Node counts for the product quadrature: Gauss-Legendre in theta by
+    ``n_theta`` and periodic trapezoid in phi by ``n_phi``."""
 
     n_theta: int = 64
     n_phi: int = 64
@@ -205,7 +216,7 @@ def sphere_grid(
     Returns (N, 3) unit vectors and (N,) weights summing to the area of
     the u-band, u the cosine from ``axis`` (the z-axis when None).
     """
-    u, wu = gauss_legendre_nodes(u_range[0], u_range[1], spec.n_theta)
+    u, wu = _polar_rule(u_range[0], u_range[1], spec.n_theta)
     phi = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
     weights = np.repeat(wu, spec.n_phi) * (2.0 * np.pi / spec.n_phi)
     return points_about_axis(np.repeat(u, spec.n_phi), np.tile(phi, spec.n_theta), axis), weights

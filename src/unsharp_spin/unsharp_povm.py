@@ -23,8 +23,8 @@ from .misalignment import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     UniformCap,
+    _polar_rule,
     check_epsilon,
-    gauss_legendre_nodes,
     points_about_axis,
     sphere_integral_matrix,
 )
@@ -202,7 +202,7 @@ def alphas_axial(model) -> Alphas:
     the support of the density.
     """
     u_lo, u_hi = model.support_u()
-    u, w = gauss_legendre_nodes(u_lo, u_hi, AXIAL_NODES)
+    u, w = _polar_rule(u_lo, u_hi, AXIAL_NODES)
     theta = np.arccos(np.clip(u, -1.0, 1.0))
     density = model.density_polar(theta)
     base = 2.0 * np.pi * w * density

@@ -1,11 +1,12 @@
 """Self-verification suite.
 
 Runs every library invariant as a named pass/fail check: projector and
-rotation algebra, quadrature normalization and stability, effect-triple
-properties (resolution of identity, positivity, covariance, shared
-eigenbasis, spectra), eigenvalue closed forms, simulator consistency, and
-solver/oracle agreement.  Used by the command-line ``verify`` subcommand;
-any failure makes the process exit nonzero.
+rotation algebra, quadrature normalization and stability, the effect
+triple (one sweep checks resolution of identity, positivity, the shared
+eigenbasis, spectra and rotation covariance), eigenvalue closed forms,
+simulator consistency, the eigenray overlap laws, and solver/oracle
+agreement.  Used by the command-line ``verify`` subcommand; any failure
+makes the process exit nonzero.
 
 All checks draw from fixed seeds, so two runs produce identical output.
 """
@@ -151,86 +152,51 @@ def check_density_covariance():
     return worst <= 1e-12, f"max witness {worst:.3e} (tol 1e-12)"
 
 
-def _random_pairs(count, seed):
-    """Random (direction, cap half-angle) pairs, eps in [EPS_MIN, pi]."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = random_unit_vector(rng)
-        eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
-        yield n, eps
-
-
-def check_effect_invariants():
-    """Resolution of identity, positivity, eigenvalue sums for random
-    (direction, cap) pairs."""
-    worst_id, worst_pos, worst_sum = 0.0, 0.0, 0.0
-    for n, eps in _random_pairs(100, SEED + 5):
-        triple = effects(n, UniformCap(eps))
-        total = sum(triple.as_tuple())
-        worst_id = max(worst_id, float(np.max(np.abs(total - np.eye(3)))))
-        for i in (1, 0, -1):
-            w = np.linalg.eigvalsh(triple.effect(i))
-            worst_pos = max(worst_pos, float(-w[0]), float(w[-1] - 1.0))
-            worst_sum = max(worst_sum, abs(float(np.sum(w)) - 1.0))
-    ok = worst_id <= 1e-10 and worst_pos <= 1e-10 and worst_sum <= 1e-8
-    return ok, (
-        f"identity {worst_id:.3e} (tol 1e-10), positivity {worst_pos:.3e} "
-        f"(tol 1e-10), eigenvalue sums {worst_sum:.3e} (tol 1e-8)"
+def _triple_residuals(triple, alphas):
+    """Identity, positivity, eigenvalue-sum, off-diagonal, commutator and
+    spectrum residuals of one effect triple against its model's a1..a4."""
+    fs = np.stack(triple.as_tuple())
+    w = np.linalg.eigvalsh(fs)  # (outcome, ascending eigenvalue)
+    basis = np.column_stack(sharp_eigenvectors(triple.direction))
+    conj = basis.conj().T @ fs @ basis
+    on_rays = np.diagonal(conj, axis1=1, axis2=2)
+    want = np.array([alphas.spectrum(i) for i in (1, 0, -1)])
+    comm = max(float(np.linalg.norm(fs[a] @ fs[b] - fs[b] @ fs[a])) for a, b in ((0, 1), (0, 2), (1, 2)))
+    return (
+        float(np.max(np.abs(fs.sum(axis=0) - np.eye(3)))),
+        max(0.0, float(-w.min()), float(w.max() - 1.0)),
+        float(np.max(np.abs(w.sum(axis=1) - 1.0))),
+        float(np.max(np.abs(conj - on_rays[:, :, None] * np.eye(3)))),
+        comm,
+        max(float(np.max(np.abs(w - np.sort(want, axis=1)))), float(np.max(np.abs(on_rays - want)))),
     )
 
 
-def check_effect_covariance():
-    """D(R) F_n(i) D(R)^-1 = F_{R^-1 n}(i) for random rotations."""
+def check_effect_triples():
+    """Each effect triple is a POVM (resolution of identity, positivity,
+    eigenvalue sums), is diagonal in the sharp eigenbasis with commuting
+    effects, carries the model's a1..a4 on the eigenray each outcome
+    assigns, and is rotation covariant: D(R) F_n(i) D(R)^-1 = F_{R^-1 n}(i).
+    Every property but covariance is checked on both triples of each
+    covariance pair, for random (direction, cap, rotation) draws."""
     rng = np.random.default_rng(SEED + 6)
-    worst = 0.0
+    worst = np.zeros(7)
     for _ in range(100):
         n = random_unit_vector(rng)
         eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
         r = random_rotation(rng)
-        model = UniformCap(eps)
-        d = wigner_d1(r)
-        t1 = effects(n, model)
-        t2 = effects(r.T @ n, model)
-        for i in (1, 0, -1):
-            delta = d @ t1.effect(i) @ d.conj().T - t2.effect(i)
-            worst = max(worst, float(np.linalg.norm(delta)))
-    return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
-
-
-def check_shared_eigenbasis():
-    """The sharp eigenbasis diagonalizes every effect; effects commute."""
-    worst_off, worst_comm = 0.0, 0.0
-    for n, eps in _random_pairs(100, SEED + 7):
-        triple = effects(n, UniformCap(eps))
-        basis = np.column_stack(sharp_eigenvectors(n))
-        for i in (1, 0, -1):
-            conj = basis.conj().T @ triple.effect(i) @ basis
-            off = conj - np.diag(np.diag(conj))
-            worst_off = max(worst_off, float(np.max(np.abs(off))))
-        fs = triple.as_tuple()
-        for a in range(3):
-            for b in range(a + 1, 3):
-                comm = fs[a] @ fs[b] - fs[b] @ fs[a]
-                worst_comm = max(worst_comm, float(np.linalg.norm(comm)))
-    ok = worst_off <= 1e-10 and worst_comm <= 1e-10
-    return ok, f"off-diagonal {worst_off:.3e}, commutator {worst_comm:.3e} (tol 1e-10)"
-
-
-def check_effect_spectra():
-    """Effect eigenvalues are permutations of the four model eigenvalues,
-    and each sits on the sharp eigenray the outcome assigns it to."""
-    worst = 0.0
-    for n, eps in _random_pairs(100, SEED + 8):
-        triple = effects(n, UniformCap(eps))
-        a = alphas_uniform_cap(eps)
-        basis = np.column_stack(sharp_eigenvectors(n))
-        for i in (1, 0, -1):
-            got = np.sort(np.linalg.eigvalsh(triple.effect(i)))
-            want = np.sort(a.spectrum(i))
-            worst = max(worst, float(np.max(np.abs(got - want))))
-            on_rays = np.diag(basis.conj().T @ triple.effect(i) @ basis)
-            worst = max(worst, float(np.max(np.abs(on_rays - a.spectrum(i)))))
-    return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
+        model, alphas, d = UniformCap(eps), alphas_uniform_cap(eps), wigner_d1(r)
+        t1, t2 = effects(n, model), effects(r.T @ n, model)
+        cov = max(float(np.linalg.norm(d @ t1.effect(i) @ d.conj().T - t2.effect(i))) for i in (1, 0, -1))
+        for triple in (t1, t2):
+            worst = np.maximum(worst, (*_triple_residuals(triple, alphas), cov))
+    identity, positivity, sums, off, comm, spectra, cov = worst.tolist()
+    ok = max(identity, positivity, off, comm) <= 1e-10 and max(sums, cov, spectra) <= 1e-8
+    return ok, (
+        f"identity {identity:.3e}, positivity {positivity:.3e}, off-diagonal {off:.3e}, "
+        f"commutator {comm:.3e} (tol 1e-10); eigenvalue sums {sums:.3e}, "
+        f"covariance {cov:.3e}, spectra {spectra:.3e} (tol 1e-8)"
+    )
 
 
 def check_alpha_closed_forms():
@@ -269,33 +235,45 @@ def check_simulator_consistency():
     return worst <= 4.0, f"max deviation {worst:.2f} sigma (tol 4)"
 
 
+def _overlap_law(c):
+    """|<n,i|n',j>|^2 for i, j in (+1, 0, -1), c = n.n': the squared
+    spin-1 rotation matrix elements at the angle between n and n'."""
+    plus, minus, cross = (1.0 + c) ** 2 / 4.0, (1.0 - c) ** 2 / 4.0, (1.0 - c * c) / 2.0
+    return np.array([[plus, cross, minus], [cross, c * c, cross], [minus, cross, plus]])
+
+
 def check_real_embedding():
-    """Outcome-0 eigenrays overlap like the real directions themselves."""
+    """Eigenrays of two directions overlap by the nine spin-1 laws of
+    c = n.n' alone; in particular the outcome-0 rays overlap like the
+    real directions themselves, and are orthogonal for orthogonal ones."""
     rng = np.random.default_rng(SEED + 10)
     worst = 0.0
+
+    def residual(n, m):
+        basis_n = np.column_stack(sharp_eigenvectors(n))
+        basis_m = np.column_stack(sharp_eigenvectors(m))
+        overlap = np.abs(basis_n.conj().T @ basis_m) ** 2
+        return float(np.max(np.abs(overlap - _overlap_law(float(n @ m)))))
+
     for _ in range(100):
         n = random_unit_vector(rng)
         m = random_unit_vector(rng)
-        psi_n = sharp_eigenvectors(n)[1]
-        psi_m = sharp_eigenvectors(m)[1]
-        worst = max(worst, abs(abs(np.vdot(psi_n, psi_m)) - abs(float(n @ m))))
+        worst = max(worst, residual(n, m))
         # orthogonal pair: project m off n
         perp = m - (m @ n) * n
         if np.linalg.norm(perp) > 1e-6:
-            perp /= np.linalg.norm(perp)
-            psi_p = sharp_eigenvectors(perp)[1]
-            worst = max(worst, abs(np.vdot(psi_n, psi_p)))
+            worst = max(worst, residual(n, perp / np.linalg.norm(perp)))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
 
 def check_solver_against_brute_force():
     """Verdicts and counts match exhaustive enumeration on small
-    sub-instances of the bundled ray set, and brute force's example
-    coloring passes the constraint checker."""
+    sub-instances of the bundled ray set, and the solver's coloring and
+    brute force's example both pass the constraint checker."""
     _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
     rng = np.random.default_rng(SEED + 11)
     mismatches = 0
-    for _ in range(60):
+    for _ in range(100):
         k = int(rng.integers(3, 16))
         idx = rng.choice(len(rays), size=k, replace=False)
         sub = [rays[i] for i in sorted(idx)]
@@ -303,28 +281,13 @@ def check_solver_against_brute_force():
         result = ks_solver.solve_coloring(instance, mode="count_all")
         count, example = crosscheck.brute_force_colorings(instance)
         solver_count = result.count if result.is_sat else 0
-        example_ok = count == 0 or crosscheck.check_coloring(instance, example)[0]
-        if result.is_sat != (count > 0) or solver_count != count or not example_ok:
+        colorings_ok = count == 0 or (
+            crosscheck.check_coloring(instance, example)[0]
+            and crosscheck.check_coloring(instance, result.coloring)[0]
+        )
+        if result.is_sat != (count > 0) or solver_count != count or not colorings_ok:
             mismatches += 1
-    return mismatches == 0, f"{mismatches} mismatches in 60 sampled sub-instances"
-
-
-def check_sat_recheck_independence():
-    """SAT answers pass the independent constraint checker."""
-    rng = np.random.default_rng(SEED + 12)
-    _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-    checked = 0
-    for _ in range(40):
-        k = int(rng.integers(3, 14))
-        idx = rng.choice(len(rays), size=k, replace=False)
-        instance = ks_solver.build_graph([rays[i] for i in sorted(idx)])
-        result = ks_solver.solve_coloring(instance)
-        if result.is_sat:
-            ok, violations = crosscheck.check_coloring(instance, result.coloring)
-            if not ok:
-                return False, f"independent check failed: {violations[:3]}"
-            checked += 1
-    return checked > 0, f"{checked} SAT colorings re-validated"
+    return mismatches == 0, f"{mismatches} mismatches in 100 sampled sub-instances"
 
 
 def check_fixture_noncolorability():
@@ -377,16 +340,12 @@ ALL_CHECKS = [
     ("quadrature-stability", check_quadrature_stability),
     ("measure-rotation-invariance", check_measure_rotation_invariance),
     ("density-covariance", check_density_covariance),
-    ("effect-invariants", check_effect_invariants),
-    ("effect-covariance", check_effect_covariance),
-    ("shared-eigenbasis", check_shared_eigenbasis),
-    ("effect-spectra", check_effect_spectra),
+    ("effect-triples", check_effect_triples),
     ("alpha-closed-forms", check_alpha_closed_forms),
     ("alpha-orderings", check_alpha_orderings),
     ("simulator-consistency", check_simulator_consistency),
     ("real-embedding", check_real_embedding),
     ("solver-vs-brute-force", check_solver_against_brute_force),
-    ("sat-recheck-independence", check_sat_recheck_independence),
     ("fixture-noncolorability", check_fixture_noncolorability),
     ("unsat-monotonicity", check_unsat_monotonicity),
     ("report-determinism", check_report_determinism),

@@ -310,7 +310,6 @@ class TestPipeline:
             "tripod_count",
             "solve",
             "conclusion",
-            "tripod_reading",
         ]
 
     def test_thousand_random_directions(self):

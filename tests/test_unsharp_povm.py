@@ -107,11 +107,25 @@ class TestEffects:
             up.effects(Z, mis.UniformCap(1.0), mis.QuadratureSpec(64, 2))
 
     def test_missed_normalization_raises(self):
-        # a profile linear in the angle has a square-root kink in cos(theta),
-        # so an 8-node rule misses the density's mass, and the effects'
-        # sum-to-identity residual must show it
+        # a profile with a kink inside its support converges only
+        # algebraically, so an 8-node rule misses the density's mass, and
+        # the effects' sum-to-identity residual must show it
         with pytest.raises(up.QuadratureError, match="sum-to-identity"):
-            up.effects(Z, mis.AxialDensity(0.6, lambda t: t), mis.QuadratureSpec(8, 16))
+            up.effects(Z, mis.AxialDensity(0.6, lambda t: np.abs(t - 0.3)), mis.QuadratureSpec(8, 16))
+
+    @pytest.mark.parametrize("eps", [0.6, 2.0, 3.0, np.pi])
+    @pytest.mark.parametrize(
+        "profile", [lambda t: t, lambda t: np.cos(t / 2) ** 2 + 0.3 * t], ids=["theta", "cap+0.3theta"]
+    )
+    def test_profile_linear_in_angle(self, profile, eps):
+        # linear in theta is a square-root kink in cos(theta) at the axis,
+        # but analytic in the theta the nodes are taken in
+        model = mis.AxialDensity(eps, profile)
+        n = sc.unit_from_polar(0.9, 2.0)
+        triple = up.effects(n, model)
+        rebuilt = up.effects_from_alphas(n, up.alphas_axial(model))
+        for i in (1, 0, -1):
+            assert max_abs(triple.effect(i) - rebuilt.effect(i)) < 1e-10
 
     def test_axial_model(self):
         model = mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)

@@ -2,7 +2,7 @@
 
 ``verify.ALL_CHECKS`` is the single statement of each invariant; this
 file runs each check as its own test, with the check name as the test id
-(``pytest tests/test_verify.py -k effect-covariance`` runs one).
+(``pytest tests/test_verify.py -k effect-triples`` runs one).
 """
 
 import pytest
