@@ -172,13 +172,24 @@ def _triple_residuals(triple, alphas):
     )
 
 
-def check_effect_triples():
-    """Each effect triple is a POVM (resolution of identity, positivity,
-    eigenvalue sums), is diagonal in the sharp eigenbasis with commuting
-    effects, carries the model's a1..a4 on the eigenray each outcome
-    assigns, and is rotation covariant: D(R) F_n(i) D(R)^-1 = F_{R^-1 n}(i).
-    Every property but covariance is checked on both triples of each
-    covariance pair, for random (direction, cap, rotation) draws."""
+# tolerance of each effect-triple property, in _triple_residuals order,
+# then covariance
+EFFECT_TOLERANCES = {
+    "identity": 1e-10,
+    "positivity": 1e-10,
+    "eigenvalue sums": 1e-8,
+    "off-diagonal": 1e-10,
+    "commutator": 1e-10,
+    "spectra": 1e-8,
+    "covariance": 1e-8,
+}
+
+
+def effect_triple_residuals() -> dict[str, float]:
+    """Worst residual of each effect-triple property (keyed as
+    ``EFFECT_TOLERANCES``) over 100 random (direction, cap, rotation)
+    draws.  Covariance compares F_n and F_{R^-1 n}; every other property
+    is measured on both triples of each pair."""
     rng = np.random.default_rng(SEED + 6)
     worst = np.zeros(7)
     for _ in range(100):
@@ -190,12 +201,20 @@ def check_effect_triples():
         cov = max(float(np.linalg.norm(d @ t1.effect(i) @ d.conj().T - t2.effect(i))) for i in (1, 0, -1))
         for triple in (t1, t2):
             worst = np.maximum(worst, (*_triple_residuals(triple, alphas), cov))
-    identity, positivity, sums, off, comm, spectra, cov = worst.tolist()
-    ok = max(identity, positivity, off, comm) <= 1e-10 and max(sums, cov, spectra) <= 1e-8
+    return dict(zip(EFFECT_TOLERANCES, worst.tolist()))
+
+
+def check_effect_triples():
+    """Each effect triple is a POVM (resolution of identity, positivity,
+    eigenvalue sums), is diagonal in the sharp eigenbasis with commuting
+    effects, carries the model's a1..a4 on the eigenray each outcome
+    assigns, and is rotation covariant: D(R) F_n(i) D(R)^-1 = F_{R^-1 n}(i)."""
+    w = effect_triple_residuals()
+    ok = all(w[key] <= tol for key, tol in EFFECT_TOLERANCES.items())
     return ok, (
-        f"identity {identity:.3e}, positivity {positivity:.3e}, off-diagonal {off:.3e}, "
-        f"commutator {comm:.3e} (tol 1e-10); eigenvalue sums {sums:.3e}, "
-        f"covariance {cov:.3e}, spectra {spectra:.3e} (tol 1e-8)"
+        f"identity {w['identity']:.3e}, positivity {w['positivity']:.3e}, off-diagonal {w['off-diagonal']:.3e}, "
+        f"commutator {w['commutator']:.3e} (tol 1e-10); eigenvalue sums {w['eigenvalue sums']:.3e}, "
+        f"covariance {w['covariance']:.3e}, spectra {w['spectra']:.3e} (tol 1e-8)"
     )
 
 
