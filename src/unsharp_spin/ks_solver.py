@@ -5,6 +5,9 @@ set of directions yields a finite family of complex rays with an
 orthogonality graph.  A noncontextual assignment of approximate truth
 values must color every ray AT or AF so that every complete orthogonal
 tripod contains exactly one AT and no orthogonal pair contains two ATs.
+For spin 1 this instance is the orthogonality graph of the directions
+plus one private tripod per direction, so ``ks_pipeline`` solves the
+direction graph; ``eigenray_set`` builds the eigenrays as its oracle.
 The solver here decides colorability by backtracking with constraint
 propagation and can exhaustively count colorings; verdicts are
 deterministic (fixed iteration and branching order) and every SAT answer
@@ -13,7 +16,7 @@ is re-validated by an independent checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +27,8 @@ from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
 ORTHO_TOL = 1e-9              # |<u,v>| at or below this means "orthogonal"
 OVERLAP_BLOCK_ROWS = 64       # rows of |R Rᴴ| held at a time
+# colors of a direction's +1, 0 and -1 eigenrays, by the direction's color
+_EIGENRAY_COLORS = {AT: (AF, AT, AF), AF: (AT, AF, AF)}
 
 KS_CONTRADICTION = "KS_CONTRADICTION"
 CONDITION2_FAILED = "CONDITION2_FAILED"
@@ -129,13 +134,16 @@ def build_graph(rays, name: str = "rayset") -> KsInstance:
 
 def eigenray_set(directions, name: str = "eigenrays") -> list[np.ndarray]:
     """Shared eigenrays of the (sharp and unsharp) observables of a
-    direction set, canonicalized and deduplicated.
+    direction set, canonicalized and deduplicated: ``ks_pipeline``'s oracle.
 
     Per direction these are the three eigenrays of the directional spin
     observable; the unsharp effects have the same eigenrays, and taking
     them from the sharp triple keeps the choice deterministic even though
     the outcome-0 effect is spectrally degenerate.  Note the directions
-    themselves are generally not among the rays.
+    themselves are generally not among the rays.  Near-parallel or
+    near-antipodal directions with 1e-9 < 1 - |n.n'| <= 2e-9 have their
+    +-1 rays merged but their 0-rays kept apart, which splits the second
+    eigenbasis; there ``ks_pipeline``, which keeps both, is the reference.
     """
     if len(directions) == 0:
         raise ValueError("directions must be a non-empty list")
@@ -422,7 +430,9 @@ class KsReport:
     ``conclusion`` is KS_CONTRADICTION when the separation condition holds
     and the eigenray instance is non-colorable, CONDITION2_FAILED when the
     model is too unsharp for the tolerance (no colorability claim is made),
-    and COLORABLE when a valid coloring exists.
+    and COLORABLE when a valid coloring exists.  Counts and coloring are
+    the eigenray instance's (of ``eigenray_set``, except in the band its
+    docstring names); ``solve`` counts direction-graph decisions.
     """
 
     name: str
@@ -470,43 +480,42 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
     """End-to-end check that a direction set admits no noncontextual
     assignment of approximate truth values.
 
-    Computes the effect eigenvalues of the model, checks the separation
-    condition for ``delta`` (if it fails, no claim about colorability can
-    be made and the report says so), then builds the eigenray instance of
-    the directions and runs the exhaustive coloring search.
+    Computes the effect eigenvalues of the model and checks the
+    separation condition for ``delta`` (if it fails, no claim about
+    colorability can be made and the report says so).  Then it searches
+    the orthogonality graph of the directions, deduplicated up to sign
+    (a unit vector is a ray): with one private tripod per direction this
+    is the eigenray instance, of 3N' rays, 3N' + E pairs and N' + T
+    tripods for N' directions, E orthogonal pairs and T orthogonal triads.
     """
     if len(directions) == 0:
         raise ValueError("directions must be a non-empty list")
     alphas = alphas_for_model(model)
     ok, margins = condition2_check(alphas, delta)
-    if not ok:
-        return KsReport(
-            name=name,
-            delta=float(delta),
-            model_description=model.describe(),
-            alphas=alphas,
-            condition2_ok=False,
-            condition2_margins=margins,
-            ray_count=0,
-            ortho_pair_count=0,
-            tripod_count=0,
-            solve=None,
-            conclusion=CONDITION2_FAILED,
-        )
-    rays = eigenray_set(directions)
-    instance = build_graph(rays, name=name)
-    result = solve_coloring(instance, mode="first_solution")
-    conclusion = COLORABLE if result.is_sat else KS_CONTRADICTION
+    counts, result, conclusion = (0, 0, 0), None, CONDITION2_FAILED
+    if ok:
+        graph = build_graph(canonicalize_and_dedupe([as_unit_vector(n) for n in directions]), name=name)
+        kept = graph.ray_count
+        counts = (3 * kept, 3 * kept + len(graph.ortho_pairs), kept + len(graph.tripods))
+        result = solve_coloring(graph, mode="first_solution")
+        if result.is_sat:  # rays 3d, 3d+1, 3d+2: the +1, 0, -1 rays of direction d
+            coloring = {
+                3 * d + k: ray_color
+                for d, color in result.coloring.items()
+                for k, ray_color in enumerate(_EIGENRAY_COLORS[color])
+            }
+            result = replace(result, coloring=coloring)
+        conclusion = COLORABLE if result.is_sat else KS_CONTRADICTION
     return KsReport(
         name=name,
         delta=float(delta),
         model_description=model.describe(),
         alphas=alphas,
-        condition2_ok=True,
+        condition2_ok=ok,
         condition2_margins=margins,
-        ray_count=instance.ray_count,
-        ortho_pair_count=len(instance.ortho_pairs),
-        tripod_count=len(instance.tripods),
+        ray_count=counts[0],
+        ortho_pair_count=counts[1],
+        tripod_count=counts[2],
         solve=result,
         conclusion=conclusion,
     )

@@ -4,9 +4,9 @@ Runs every library invariant as a named pass/fail check: projector and
 rotation algebra, quadrature normalization and stability, the effect
 triple (one sweep checks resolution of identity, positivity, the shared
 eigenbasis, spectra and rotation covariance), eigenvalue closed forms,
-simulator consistency, the eigenray overlap laws, and solver/oracle
-agreement.  Used by the command-line ``verify`` subcommand; any failure
-makes the process exit nonzero.
+simulator consistency, the eigenray overlap laws (and the direction-graph
+pipeline against the eigenray instance), and solver/oracle agreement.
+Used by ``unsharp-spin verify``; any failure makes it exit nonzero.
 
 All checks draw from fixed seeds, so two runs produce identical output.
 """
@@ -264,7 +264,9 @@ def _overlap_law(c):
 def check_real_embedding():
     """Eigenrays of two directions overlap by the nine spin-1 laws of
     c = n.n' alone; in particular the outcome-0 rays overlap like the
-    real directions themselves, and are orthogonal for orthogonal ones."""
+    real directions themselves, and are orthogonal for orthogonal ones.
+    So on four direction sets ``ks_pipeline``'s counts, verdict and
+    coloring agree with the complex eigenray instance."""
     rng = np.random.default_rng(SEED + 10)
     worst = 0.0
 
@@ -282,7 +284,32 @@ def check_real_embedding():
         perp = m - (m @ n) * n
         if np.linalg.norm(perp) > 1e-6:
             worst = max(worst, residual(n, perp / np.linalg.norm(perp)))
-    return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
+    _, peres = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
+    _, integer49 = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
+    subset = [peres[i] for i in sorted(rng.choice(len(peres), size=20, replace=False))]
+    direction_sets = {
+        "peres-33": peres,
+        "integer-49": [np.real(r) for r in integer49],
+        "xyz": list(np.eye(3)),
+        "peres-20": subset + [-subset[0], -subset[7]],  # negated copies are the same directions
+    }
+    failed = []
+    for name, dirs in direction_sets.items():
+        report = ks_solver.ks_pipeline(dirs, UniformCap(0.4), 0.1)
+        instance = ks_solver.build_graph(ks_solver.eigenray_set(dirs))
+        oracle = ks_solver.solve_coloring(instance)
+        if (
+            (report.ray_count, report.ortho_pair_count, report.tripod_count)
+            != (instance.ray_count, len(instance.ortho_pairs), len(instance.tripods))
+            or report.solve.verdict != oracle.verdict
+            or (oracle.is_sat and not crosscheck.check_coloring(instance, report.solve.coloring)[0])
+        ):
+            failed.append(name)
+    return worst <= 1e-10 and not failed, (
+        f"max residual {worst:.3e} (tol 1e-10); ks_pipeline matches the eigenray instance "
+        f"on {len(direction_sets) - len(failed)}/{len(direction_sets)} direction sets"
+        + "".join(f", not {name}" for name in failed)
+    )
 
 
 def check_solver_against_brute_force():

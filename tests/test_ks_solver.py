@@ -277,7 +277,7 @@ class TestPipeline:
         report = ks.ks_pipeline(dirs, mis.UniformCap(0.4), 0.1)
         assert report.conclusion == ks.KS_CONTRADICTION
         assert report.condition2_ok
-        assert report.ray_count == 99
+        assert (report.ray_count, report.ortho_pair_count, report.tripod_count) == (99, 171, 49)
         assert report.solve.verdict == "UNSAT"
 
     def test_peres_condition_failure(self):
@@ -313,7 +313,6 @@ class TestPipeline:
         ]
 
     def test_thousand_random_directions(self):
-        # deeper than the default recursion limit: one decision per direction
         rng = np.random.default_rng(1000)
         dirs = [sc.random_unit_vector(rng) for _ in range(1000)]
         report = ks.ks_pipeline(dirs, mis.UniformCap(0.4), 0.1)
@@ -322,4 +321,24 @@ class TestPipeline:
         inst = ks.build_graph(ks.eigenray_set(dirs))
         ok, violations = cc.check_coloring(inst, report.solve.coloring)
         assert ok, violations
-        assert report.solve.max_depth == 1000
+        # the eigenray instance is deeper than the default recursion
+        # limit: one decision per private tripod
+        assert ks.solve_coloring(inst).max_depth == 1000
+
+    @pytest.mark.parametrize(
+        "dirs, shape",
+        [
+            ([Z, sc.rotation_y(3e-5) @ Z], (3, 3, 1)),
+            ([Z, sc.rotation_y(5.5e-5) @ Z], (6, 6, 2)),
+            ([Z, sc.rotation_y(8e-5) @ Z], (6, 6, 2)),
+            ([Z, -Z, X], (6, 7, 2)),
+        ],
+        ids=["tilt-3e-5", "tilt-5.5e-5", "tilt-8e-5", "antipodal"],
+    )
+    def test_direction_dedupe(self, dirs, shape):
+        # directions are deduplicated up to sign with one threshold on
+        # |n.n'|, so a direction is dropped or kept with its whole
+        # eigenbasis, never with part of it
+        report = ks.ks_pipeline(dirs, mis.UniformCap(0.4), 0.1)
+        assert (report.ray_count, report.ortho_pair_count, report.tripod_count) == shape
+        assert report.conclusion == ks.COLORABLE
