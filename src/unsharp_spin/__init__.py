@@ -43,7 +43,7 @@ from .misalignment import (
     sphere_integral_matrix,
 )
 from .spin_core import (
-    ProjectorTriple,
+    EffectTriple,
     canonical_phase,
     rotation_from_euler,
     sharp_eigenvectors,
@@ -58,7 +58,6 @@ from .unsharp_povm import (
     AT,
     U,
     Alphas,
-    EffectTriple,
     QuadratureError,
     alphas_axial,
     alphas_for_model,
@@ -85,7 +84,6 @@ __all__ = [
     "KS_CONTRADICTION",
     "KsInstance",
     "KsReport",
-    "ProjectorTriple",
     "QuadratureError",
     "QuadratureSpec",
     "SolveResult",

@@ -5,13 +5,14 @@ Subcommands: ``effects``, ``alphas``, ``threshold``, ``prob``,
 ``--degrees`` is given.  Every command prints a human-readable summary
 and, with ``--output PATH``, writes the same results as a JSON report
 with stable key order; identical invocations produce byte-identical
-output.
+output.  Input errors print ``error: ...`` to stderr and exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .misalignment import QuadratureSpec, UniformCap
 from .spin_core import unit_from_polar
 from .unsharp_povm import (
     EFFECT_TOL,
+    QuadratureError,
     alphas_axial,
     alphas_uniform_cap,
     condition2_check,
@@ -56,27 +58,27 @@ def _matrix_rows(m: np.ndarray) -> list[list[list[float]]]:
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise SystemExit(f"error: {flag} expects two comma-separated numbers, got {text!r}")
+        raise ValueError(f"{flag} expects two comma-separated numbers, got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise SystemExit(f"error: {flag} has a non-numeric component in {text!r}") from None
+        raise ValueError(f"{flag} has a non-numeric component in {text!r}") from None
 
 
 def _parse_state(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise SystemExit(f"error: --state expects three comma-separated amplitudes, got {text!r}")
+        raise ValueError(f"--state expects three comma-separated amplitudes, got {text!r}")
     amplitudes = []
     for part in parts:
         try:
             amplitudes.append(complex(part.strip().replace("i", "j")))
         except ValueError:
-            raise SystemExit(f"error: --state amplitude {part!r} is not a number") from None
+            raise ValueError(f"--state amplitude {part!r} is not a number") from None
     v = np.array(amplitudes)
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
-        raise SystemExit("error: --state must be a nonzero vector")
+        raise ValueError("--state must be a nonzero vector")
     return v / norm
 
 
@@ -94,7 +96,7 @@ def _model(args):
         try:
             return formats.load_profile_file(args.profile)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: --profile: {exc}") from None
+            raise ValueError(f"--profile: {exc}") from None
     return UniformCap(_angle(args.epsilon, args.degrees))
 
 
@@ -105,18 +107,13 @@ def _quadrature(args) -> QuadratureSpec:
     try:
         return QuadratureSpec(int(nt), int(np_))
     except ValueError as exc:
-        raise SystemExit(f"error: --quadrature: {exc}") from None
+        raise ValueError(f"--quadrature: {exc}") from None
 
 
 def _emit(args, report: dict, out) -> None:
     if args.output:
         formats.write_report(args.output, report)
         out.write(f"report written to {args.output}\n")
-
-
-def _alphas_payload(alphas) -> dict:
-    a1, a2, a3, a4 = alphas.as_tuple()
-    return {"a1": a1, "a2": a2, "a3": a3, "a4": a4}
 
 
 def cmd_effects(args, out) -> int:
@@ -153,10 +150,7 @@ def cmd_effects(args, out) -> int:
 def cmd_alphas(args, out) -> int:
     model = _model(args)
     quadrature_alphas = alphas_axial(model)
-    if isinstance(model, UniformCap):
-        closed = alphas_uniform_cap(model.epsilon)
-    else:
-        closed = None
+    closed = alphas_uniform_cap(model.epsilon) if isinstance(model, UniformCap) else None
     out.write(f"model: {model.describe()}\n")
     tags = ("a1", "a2", "a3", "a4")
     for tag, value in zip(tags, quadrature_alphas.as_tuple()):
@@ -164,7 +158,7 @@ def cmd_alphas(args, out) -> int:
     payload = {
         "command": "alphas",
         "model": model.describe(),
-        "quadrature": _alphas_payload(quadrature_alphas),
+        "quadrature": asdict(quadrature_alphas),
     }
     if closed is not None:
         diff = max(
@@ -174,7 +168,7 @@ def cmd_alphas(args, out) -> int:
         for tag, value in zip(tags, closed.as_tuple()):
             out.write(f"{tag} (closed form) = {value:.12g}\n")
         out.write(f"closed form vs quadrature: {diff:.3e}\n")
-        payload["closed_form"] = _alphas_payload(closed)
+        payload["closed_form"] = asdict(closed)
         payload["max_difference"] = diff
     _emit(args, payload, out)
     return 0
@@ -251,7 +245,7 @@ def cmd_ks_check(args, out) -> int:
     try:
         name, directions = formats.load_direction_file(args.directions)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: --directions: {exc}") from None
+        raise ValueError(f"--directions: {exc}") from None
     model = _model(args)
     report = ks_pipeline(directions, model, args.delta, name=name)
     out.write(f"direction set: {name} ({len(directions)} directions)\n")
@@ -352,7 +346,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.command}: --epsilon is required unless --profile is given")
     try:
         return args.func(args, sys.stdout)
-    except ValueError as exc:
+    except (ValueError, QuadratureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,7 +18,7 @@ Profile files (tabulated axial density)::
 
     { "name": str, "epsilon": e, "profile": [[theta, weight], ...] }
 
-evaluated by linear interpolation on [0, epsilon].
+evaluated by linear interpolation on [0, epsilon], which the thetas must span.
 
 Reports are JSON with keys in a fixed order, so identical inputs produce
 byte-identical files.
@@ -57,15 +57,21 @@ def _component_to_complex(value, where: str, field: str) -> complex:
     raise ValueError(f"{where}: bad component {value!r} for field {field!r}")
 
 
+def _load_object(path, kind: str) -> dict:
+    """Read a JSON file whose top level must be an object."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} file: top level must be an object")
+    return doc
+
+
 def load_ray_file(path) -> tuple[str, list[np.ndarray]]:
     """Load, normalize and deduplicate a ray-set file.
 
     Returns ``(name, rays)``.  Errors name the offending field.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("ray file: top level must be an object")
+    doc = _load_object(path, "ray")
     name = doc.get("name")
     if not isinstance(name, str):
         raise ValueError("ray file: 'name' must be a string")
@@ -106,10 +112,7 @@ def save_ray_file(path, name: str, rays, field: str = "complex") -> None:
 
 def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
     """Load a direction-set file; Cartesian rows are normalized on load."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("direction file: top level must be an object")
+    doc = _load_object(path, "direction")
     name = doc.get("name")
     if not isinstance(name, str):
         raise ValueError("direction file: 'name' must be a string")
@@ -151,10 +154,7 @@ def save_direction_file(path, name: str, directions) -> None:
 def load_profile_file(path) -> AxialDensity:
     """Build an axial misalignment model from a tabulated (theta, weight)
     file, linearly interpolated."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("profile file: top level must be an object")
+    doc = _load_object(path, "profile")
     try:
         epsilon = float(doc["epsilon"])
     except (KeyError, TypeError, ValueError):
@@ -174,6 +174,8 @@ def load_profile_file(path) -> AxialDensity:
         raise ValueError("profile file: 'profile' thetas must be strictly increasing")
     if np.any(weights < 0):
         raise ValueError("profile file: 'profile' weights must be nonnegative")
+    if thetas[0] > 0.0 or thetas[-1] < epsilon:
+        raise ValueError(f"profile file: 'profile' thetas must span [0, epsilon] = [0, {epsilon!r}]")
 
     def profile(theta):
         return np.interp(theta, thetas, weights)

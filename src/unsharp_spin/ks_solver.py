@@ -16,7 +16,7 @@ is re-validated by an independent checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class KsInstance:
-    """A deduplicated ray set with its orthogonality structure.
+    """The orthogonality structure of a deduplicated set of ``ray_count`` rays.
 
     ``ortho_pairs`` lists index pairs (i < j) of orthogonal rays and
     ``tripods`` lists index triples (i < j < k) of mutually orthogonal
@@ -95,17 +95,12 @@ class KsInstance:
     tripod's three edges appear in ``ortho_pairs``.
     """
 
-    name: str
-    rays: tuple
+    ray_count: int
     ortho_pairs: tuple
     tripods: tuple
 
-    @property
-    def ray_count(self) -> int:
-        return len(self.rays)
 
-
-def build_graph(rays, name: str = "rayset") -> KsInstance:
+def build_graph(rays) -> KsInstance:
     """Orthogonality graph and tripod list of a deduplicated ray list.
 
     Pairs (i < j) with overlap magnitude at most ``ORTHO_TOL`` come in
@@ -129,10 +124,10 @@ def build_graph(rays, name: str = "rayset") -> KsInstance:
     tripods = [
         (i, j, k) for i, j in pairs for k in sorted(later_neighbors[i] & later_neighbors[j])
     ]
-    return KsInstance(name, tuple(rays), tuple(pairs), tuple(tripods))
+    return KsInstance(len(rays), tuple(pairs), tuple(tripods))
 
 
-def eigenray_set(directions, name: str = "eigenrays") -> list[np.ndarray]:
+def eigenray_set(directions) -> list[np.ndarray]:
     """Shared eigenrays of the (sharp and unsharp) observables of a
     direction set, canonicalized and deduplicated: ``ks_pipeline``'s oracle.
 
@@ -461,12 +456,11 @@ class KsReport:
                 "count": self.solve.count,
                 "coloring": coloring,
             }
-        a1, a2, a3, a4 = self.alphas.as_tuple()
         return {
             "name": self.name,
             "delta": self.delta,
             "model": self.model_description,
-            "alphas": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
+            "alphas": asdict(self.alphas),
             "condition2": {"ok": self.condition2_ok, "margins": self.condition2_margins},
             "ray_count": self.ray_count,
             "ortho_pair_count": self.ortho_pair_count,
@@ -494,7 +488,7 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
     ok, margins = condition2_check(alphas, delta)
     counts, result, conclusion = (0, 0, 0), None, CONDITION2_FAILED
     if ok:
-        graph = build_graph(canonicalize_and_dedupe([as_unit_vector(n) for n in directions]), name=name)
+        graph = build_graph(canonicalize_and_dedupe([as_unit_vector(n) for n in directions]))
         kept = graph.ray_count
         counts = (3 * kept, 3 * kept + len(graph.ortho_pairs), kept + len(graph.tripods))
         result = solve_coloring(graph, mode="first_solution")

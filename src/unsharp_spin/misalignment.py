@@ -29,9 +29,9 @@ import numpy as np
 
 from .spin_core import as_unit_vector, polar_from_unit, rotation_from_euler
 
-# Node count for the 1-D radial quadratures (normalization constants,
-# eigenvalue integrals, sampling tables).  Shared so that normalization and
-# integration use the same rule and their ratio is exact.
+# Node count for the 1-D radial quadratures (normalization constants and
+# eigenvalue integrals; sampling uses its own table).  Shared so that
+# normalization and integration use the same rule and their ratio is exact.
 AXIAL_NODES = 256
 
 

@@ -137,36 +137,45 @@ def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ProjectorTriple:
-    """The three rank-1 eigenprojectors of a directional spin observable.
+class EffectTriple:
+    """The three effects F(+1), F(0), F(-1) of one measurement direction.
 
-    ``p_plus``, ``p_zero``, ``p_minus`` project onto the eigenvectors of
-    spin_along(direction) with eigenvalues +1, 0, -1.  They are idempotent,
-    mutually orthogonal, and sum to the identity.
+    Each satisfies 0 <= F <= 1, the three sum to the identity and commute
+    (they share the sharp eigenbasis of the direction).  The sharp
+    observable's effects are its eigenprojectors (``sharp_projectors``).
     """
 
     direction: np.ndarray
-    p_plus: np.ndarray
-    p_zero: np.ndarray
-    p_minus: np.ndarray
+    f_plus: np.ndarray
+    f_zero: np.ndarray
+    f_minus: np.ndarray
 
     def __post_init__(self):
         # share-safely: instances are immutable after construction
-        for arr in (self.direction, self.p_plus, self.p_zero, self.p_minus):
+        for arr in (self.direction, self.f_plus, self.f_zero, self.f_minus):
             arr.setflags(write=False)
 
-    def projector(self, outcome: int) -> np.ndarray:
-        return {1: self.p_plus, 0: self.p_zero, -1: self.p_minus}[outcome]
+    def effect(self, outcome: int) -> np.ndarray:
+        return {1: self.f_plus, 0: self.f_zero, -1: self.f_minus}[outcome]
 
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.p_plus, self.p_zero, self.p_minus
+        return self.f_plus, self.f_zero, self.f_minus
+
+    def residuals(self) -> tuple[float, float, float, float]:
+        """Sum-to-identity residual, lowest and highest eigenvalue, and
+        largest pairwise commutator of the three effects."""
+        fs = self.as_tuple()
+        eigs = np.linalg.eigvalsh(np.stack(fs))
+        comm = max(float(np.max(np.abs(fs[i] @ fs[j] - fs[j] @ fs[i]))) for i, j in ((0, 1), (0, 2), (1, 2)))
+        return float(np.max(np.abs(sum(fs) - np.eye(3)))), float(eigs.min()), float(eigs.max()), comm
 
 
-def sharp_projectors(n) -> ProjectorTriple:
-    """Eigenprojectors |psi_i><psi_i| of spin_along(n) for i = +1, 0, -1."""
+def sharp_projectors(n) -> EffectTriple:
+    """Eigenprojectors |psi_i><psi_i| of spin_along(n) for i = +1, 0, -1:
+    idempotent, mutually orthogonal, and summing to the identity."""
     vecs = sharp_eigenvectors(n)
     pp, p0, pm = (np.outer(psi, psi.conjugate()) for psi in vecs)
-    return ProjectorTriple(as_unit_vector(n), pp, p0, pm)
+    return EffectTriple(as_unit_vector(n), pp, p0, pm)
 
 
 def rotation_z(angle: float) -> np.ndarray:

@@ -29,6 +29,7 @@ from .misalignment import (
     sphere_integral_matrix,
 )
 from .spin_core import (
+    EffectTriple,
     as_unit_vector,
     eigenvector_rows,
     sharp_eigenvectors,
@@ -93,41 +94,6 @@ class Alphas:
         }[outcome]
 
 
-@dataclass(frozen=True)
-class EffectTriple:
-    """The three unsharp effects for one intended direction.
-
-    Each effect satisfies 0 <= F <= 1, the three sum to the identity, and
-    they commute pairwise (they share the sharp eigenbasis of the
-    direction).
-    """
-
-    direction: np.ndarray
-    model: object
-    f_plus: np.ndarray
-    f_zero: np.ndarray
-    f_minus: np.ndarray
-
-    def __post_init__(self):
-        # share-safely: instances are immutable after construction
-        for arr in (self.direction, self.f_plus, self.f_zero, self.f_minus):
-            arr.setflags(write=False)
-
-    def effect(self, outcome: int) -> np.ndarray:
-        return {1: self.f_plus, 0: self.f_zero, -1: self.f_minus}[outcome]
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.f_plus, self.f_zero, self.f_minus
-
-    def residuals(self) -> tuple[float, float, float, float]:
-        """Sum-to-identity residual, lowest and highest eigenvalue, and
-        largest pairwise commutator of the three effects."""
-        fs = self.as_tuple()
-        eigs = np.linalg.eigvalsh(np.stack(fs))
-        comm = max(float(np.max(np.abs(fs[i] @ fs[j] - fs[j] @ fs[i]))) for i, j in ((0, 1), (0, 2), (1, 2)))
-        return float(np.max(np.abs(sum(fs) - np.eye(3)))), float(eigs.min()), float(eigs.max()), comm
-
-
 def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
     identity_residual, eig_low, eig_high, comm = triple.residuals()
     problems = []
@@ -189,7 +155,7 @@ def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple
     square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=0)  # int w (m.S)^2
     fs = np.stack([(square + linear) / 2.0, np.trace(big_m) * np.eye(3) - square, (square - linear) / 2.0])
     fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))
-    triple = EffectTriple(n, model, fs[0], fs[1], fs[2])
+    triple = EffectTriple(n, fs[0], fs[1], fs[2])
     _validate_triple(triple, spec)
     return triple
 
@@ -253,7 +219,7 @@ def effects_from_alphas(n, alphas: Alphas) -> EffectTriple:
     f_plus = a1 * p_plus + a2 * p_zero + a3 * p_minus
     f_zero = a2 * p_plus + a4 * p_zero + a2 * p_minus
     f_minus = a3 * p_plus + a2 * p_zero + a1 * p_minus
-    return EffectTriple(n, None, f_plus, f_zero, f_minus)
+    return EffectTriple(n, f_plus, f_zero, f_minus)
 
 
 def condition2_check(alphas: Alphas, delta: float) -> tuple[bool, dict[str, float]]:

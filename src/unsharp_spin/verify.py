@@ -92,7 +92,7 @@ def check_projector_covariance():
         rotated = sharp_projectors(r.T @ m)
         original = sharp_projectors(m)
         for i in (1, 0, -1):
-            delta = d @ original.projector(i) @ d.conj().T - rotated.projector(i)
+            delta = d @ original.effect(i) @ d.conj().T - rotated.effect(i)
             worst = max(worst, float(np.linalg.norm(delta)))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
@@ -341,7 +341,7 @@ def check_fixture_noncolorability():
     details = []
     for fixture in ("peres33_rays.json", "integer49_rays.json"):
         name, rays = formats.load_ray_file(formats.fixture_path(fixture))
-        instance = ks_solver.build_graph(rays, name=name)
+        instance = ks_solver.build_graph(rays)
         result = ks_solver.solve_coloring(instance)
         sat, _ = crosscheck.dpll_solve(instance)
         if result.is_sat or result.nodes_explored == 0 or sat:

@@ -102,7 +102,7 @@ def test_criterion_06_sharp_limit():
         for eps in (0.5, 0.25, 0.1, 0.01):
             triple = up.effects(Z, mis.UniformCap(eps))
             distances.append(
-                max(fnorm(triple.effect(i) - proj.projector(i)) for i in (1, 0, -1))
+                max(fnorm(triple.effect(i) - proj.effect(i)) for i in (1, 0, -1))
             )
         assert all(a > b for a, b in zip(distances, distances[1:]))
         assert distances[-1] <= 1e-3
@@ -121,7 +121,7 @@ def test_criterion_08_peres33_noncolorability():
     with criterion(8, "bundled 33-ray set is UNSAT; brute force agrees on sub-instances"):
         start = time.perf_counter()
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        instance = ks.build_graph(rays, name="peres-33")
+        instance = ks.build_graph(rays)
         result = ks.solve_coloring(instance, mode="first_solution")
         assert result.verdict == "UNSAT"
         ok, detail = verify.check_solver_against_brute_force()

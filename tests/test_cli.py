@@ -82,6 +82,22 @@ class TestEffects:
         assert code == 2
         assert "epsilon" in err
 
+    def test_rejects_bad_quadrature(self, capsys):
+        code, _, err = run_cli(
+            ["effects", "--direction", "0,0", "--epsilon", "0.4", "--quadrature", "0,4"], capsys
+        )
+        assert code == 2
+        assert err == "error: --quadrature: n_theta must be >= 1, got 0\n"
+
+    def test_too_coarse_quadrature_is_an_input_error(self, capsys):
+        # effects raises QuadratureError; the CLI reports it like any bad input
+        code, _, err = run_cli(
+            ["effects", "--direction", "0,0", "--epsilon", "0.4", "--quadrature", "2,2"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: quadrature spec (n_theta=2, n_phi=2) too coarse")
+        assert "Traceback" not in err
+
     def test_custom_quadrature(self, capsys):
         code, out, _ = run_cli(
             ["effects", "--direction", "0.7,1.3", "--epsilon", "0.4", "--quadrature", "32,32"],
@@ -127,8 +143,9 @@ class TestProbAndSimulate:
         assert "trials" in err
 
     def test_rejects_malformed_state(self, capsys):
-        with pytest.raises(SystemExit, match="state"):
-            cli.main(["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"])
+        code, _, err = run_cli(["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"], capsys)
+        assert code == 2
+        assert err.startswith("error: --state")
 
 
 class TestKsCheck:
@@ -186,8 +203,20 @@ class TestKsCheck:
         }
 
     def test_missing_file_errors(self, capsys):
-        with pytest.raises(SystemExit, match="directions"):
-            cli.main(["ks-check", "--directions", "/nonexistent.json", "--epsilon", "0.4", "--delta", "0.1"])
+        code, _, err = run_cli(
+            ["ks-check", "--directions", "/nonexistent.json", "--epsilon", "0.4", "--delta", "0.1"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: --directions")
+
+    def test_zero_vector_file_errors(self, capsys, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps({"name": "z", "directions": [[0, 0, 1], [0, 0, 0]]}))
+        code, _, err = run_cli(
+            ["ks-check", "--directions", str(path), "--epsilon", "0.4", "--delta", "0.1"], capsys
+        )
+        assert code == 2
+        assert err == "error: --directions: direction file: directions[1] is a zero vector\n"
 
 
 class TestVerify:
@@ -216,6 +245,13 @@ class TestVerify:
 
 
 class TestMisc:
+    def test_bad_profile_file(self, capsys, tmp_path):
+        profile = tmp_path / "prof.json"
+        profile.write_text(json.dumps({"name": "neg", "epsilon": 0.5, "profile": [[0, 1.0], [0.5, -1.0]]}))
+        code, _, err = run_cli(["alphas", "--profile", str(profile)], capsys)
+        assert code == 2
+        assert err == "error: --profile: profile file: 'profile' weights must be nonnegative\n"
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

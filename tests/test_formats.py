@@ -126,6 +126,14 @@ class TestProfileFiles:
         with pytest.raises(ValueError, match="nonnegative"):
             formats.load_profile_file(path)
 
+    @pytest.mark.parametrize("table", [[[0, 1], [0.2, 1]], [[0.1, 1], [0.5, 1]]], ids=["short", "late-start"])
+    def test_rejects_table_not_spanning_support(self, tmp_path, table):
+        # np.interp would clamp, inventing a weight outside the table
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps({"name": "bad", "epsilon": 0.5, "profile": table}))
+        with pytest.raises(ValueError, match=r"'profile' thetas must span \[0, epsilon\]"):
+            formats.load_profile_file(path)
+
 
 class TestFixtureAccess:
     def test_known_fixtures_exist(self):

@@ -19,7 +19,7 @@ def two_shared_tripods():
         np.array([c, c, 0], dtype=complex),
         np.array([-c, c, 0], dtype=complex),
     ]
-    return ks.build_graph(rays, name="two-tripods")
+    return ks.build_graph(rays)
 
 
 def fuzz_instances():
@@ -38,11 +38,11 @@ def fuzz_instances():
                     adj[i].add(j)
                     adj[j].add(i)
         tripods = [(i, j, k) for i, j in pairs for k in sorted(adj[i] & adj[j]) if k > j]
-        yield ks.KsInstance("fuzz", tuple([None] * n), tuple(pairs), tuple(tripods))
+        yield ks.KsInstance(n, tuple(pairs), tuple(tripods))
 
 
 def free_instance(n: int, pairs, tripods=()) -> ks.KsInstance:
-    return ks.KsInstance("free", (None,) * n, tuple(pairs), tuple(tripods))
+    return ks.KsInstance(n, tuple(pairs), tuple(tripods))
 
 
 def fibonacci(n: int) -> int:
@@ -231,7 +231,7 @@ class TestSolver:
 
     def test_dpll_deeper_than_recursion_limit(self):
         # one decision per unconstrained ray, 1200 levels deep
-        inst = ks.KsInstance("free", (None,) * 1200, (), ())
+        inst = ks.KsInstance(1200, (), ())
         sat, model = cc.dpll_solve(inst)
         assert sat and ks.solve_coloring(inst).is_sat
         assert model == {v: "AT" for v in range(1200)}
@@ -251,7 +251,7 @@ class TestFixtures:
 
     def test_peres33_unsat(self):
         _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        inst = ks.build_graph(rays, name="peres-33")
+        inst = ks.build_graph(rays)
         result = ks.solve_coloring(inst, mode="first_solution")
         assert result.verdict == "UNSAT"
         assert result.nodes_explored > 0
@@ -263,9 +263,9 @@ class TestFixtures:
         assert not sat
 
     def test_integer49_unsat_both_ways(self):
-        name, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
+        _, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
         assert len(rays) == 49
-        inst = ks.build_graph(rays, name=name)
+        inst = ks.build_graph(rays)
         assert ks.solve_coloring(inst).verdict == "UNSAT"
         sat, _ = cc.dpll_solve(inst)
         assert not sat

@@ -108,7 +108,7 @@ class TestSphereIntegralMatrix:
         from unsharp_spin.spin_core import sharp_projectors
 
         out = mis.sphere_integral_matrix(
-            per_node(lambda m: sharp_projectors(m).p_plus),
+            per_node(lambda m: sharp_projectors(m).f_plus),
             per_node(lambda m: 1.0 / (4 * np.pi)),
             mis.QuadratureSpec(),
         )
@@ -120,7 +120,7 @@ class TestSphereIntegralMatrix:
         eps = 0.6
         model = mis.UniformCap(eps)
         out = mis.sphere_integral_matrix(
-            per_node(lambda m: sharp_projectors(m).p_plus),
+            per_node(lambda m: sharp_projectors(m).f_plus),
             per_node(lambda m: model.density([0, 0, 1], m)),
             mis.QuadratureSpec(),
             u_range=model.support_u(),
@@ -136,7 +136,7 @@ class TestSphereIntegralMatrix:
 
         def run(spec):
             return mis.sphere_integral_matrix(
-                per_node(lambda m: sharp_projectors(m).p_zero),
+                per_node(lambda m: sharp_projectors(m).f_zero),
                 per_node(lambda m: model.density([0, 0, 1], m)),
                 spec,
                 u_range=model.support_u(),

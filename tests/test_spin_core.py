@@ -48,20 +48,20 @@ class TestSpinAlong:
         for _ in range(50):
             n = sc.random_unit_vector(rng)
             triple = sc.sharp_projectors(n)
-            recombined = triple.p_plus - triple.p_minus
+            recombined = triple.f_plus - triple.f_minus
             assert max_abs(recombined - sc.spin_along(n)) < 1e-12
 
 
 class TestSharpProjectors:
     def test_z_plus_projector(self):
         triple = sc.sharp_projectors([0, 0, 1])
-        assert max_abs(triple.p_plus - np.diag([1.0, 0.0, 0.0])) < 1e-15
+        assert max_abs(triple.f_plus - np.diag([1.0, 0.0, 0.0])) < 1e-15
 
     def test_explicit_matrix_for_tilted_direction(self):
         # rank-1 form in polar angles; the (0,0) entry is cos^4(theta/2)
         theta, phi = 0.7, 1.3
         m = sc.unit_from_polar(theta, phi)
-        p1 = sc.sharp_projectors(m).p_plus
+        p1 = sc.sharp_projectors(m).f_plus
         c2, s2, st, ct = (
             np.cos(theta / 2),
             np.sin(theta / 2),
@@ -92,7 +92,7 @@ class TestSharpProjectors:
     def test_first_entry_is_cos4_half_theta(self):
         for theta in (0.2, 1.1, 2.9):
             m = sc.unit_from_polar(theta, 0.8)
-            p1 = sc.sharp_projectors(m).p_plus
+            p1 = sc.sharp_projectors(m).f_plus
             assert abs(p1[0, 0].real - np.cos(theta / 2) ** 4) < 1e-13
 
     def test_x_direction_eigenrays(self):
@@ -114,7 +114,7 @@ class TestSharpProjectors:
             s = sc.spin_along(n)
             w, v = np.linalg.eigh(s)
             triple = sc.sharp_projectors(n)
-            for eigval, proj in ((1, triple.p_plus), (0, triple.p_zero), (-1, triple.p_minus)):
+            for eigval, proj in ((1, triple.f_plus), (0, triple.f_zero), (-1, triple.f_minus)):
                 k = int(np.argmin(np.abs(w - eigval)))
                 oracle = np.outer(v[:, k], v[:, k].conj())
                 assert max_abs(proj - oracle) < 1e-10
@@ -144,9 +144,9 @@ class TestSharpProjectors:
             s_n = sc.spin_along(n)
             square = s_n @ s_n
             triple = sc.sharp_projectors(n)
-            assert max_abs(triple.p_plus - (square + s_n) / 2) < 1e-12
-            assert max_abs(triple.p_zero - (np.eye(3) - square)) < 1e-12
-            assert max_abs(triple.p_minus - (square - s_n) / 2) < 1e-12
+            assert max_abs(triple.f_plus - (square + s_n) / 2) < 1e-12
+            assert max_abs(triple.f_zero - (np.eye(3) - square)) < 1e-12
+            assert max_abs(triple.f_minus - (square - s_n) / 2) < 1e-12
 
     def test_poles(self):
         for n in ([0, 0, 1], [0, 0, -1]):

@@ -84,7 +84,7 @@ class TestEffects:
         triple = up.effects(Z, mis.UniformCap(1e-3))
         proj = sc.sharp_projectors(Z)
         for i in (1, 0, -1):
-            assert float(np.linalg.norm(triple.effect(i) - proj.projector(i))) < 1e-5
+            assert float(np.linalg.norm(triple.effect(i) - proj.effect(i))) < 1e-5
 
     def test_matches_generic_integrator(self):
         # effects agrees with a plain per-node sum over the same grid, and
@@ -126,6 +126,15 @@ class TestEffects:
         rebuilt = up.effects_from_alphas(n, up.alphas_axial(model))
         for i in (1, 0, -1):
             assert max_abs(triple.effect(i) - rebuilt.effect(i)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "build", [sc.sharp_projectors, lambda n: up.effects(n, mis.UniformCap(0.4))], ids=["sharp", "unsharp"]
+    )
+    def test_triples_are_read_only(self, build):
+        triple = build(Z)
+        for arr in (triple.f_plus, triple.direction):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
 
     def test_axial_model(self):
         model = mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)
@@ -173,7 +182,7 @@ class TestEffectsFromAlphas:
         triple = up.effects_from_alphas(n, up.Alphas(1.0, 0.0, 0.0, 1.0))
         proj = sc.sharp_projectors(n)
         for i in (1, 0, -1):
-            assert max_abs(triple.effect(i) - proj.projector(i)) < 1e-12
+            assert max_abs(triple.effect(i) - proj.effect(i)) < 1e-12
 
 
 class TestCondition2:
