@@ -112,7 +112,10 @@ def _quadrature(args) -> QuadratureSpec:
 
 def _emit(args, report: dict, out) -> None:
     if args.output:
-        formats.write_report(args.output, report)
+        try:
+            formats.write_report(args.output, report)
+        except OSError as exc:
+            raise ValueError(f"--output: {exc}") from None
         out.write(f"report written to {args.output}\n")
 
 

@@ -119,7 +119,7 @@ def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
     raw = doc.get("directions")
     if not isinstance(raw, list) or not raw:
         raise ValueError("direction file: 'directions' must be a non-empty list")
-    directions = []
+    directions, cartesian = np.empty((len(raw), 3)), []
     for k, entry in enumerate(raw):
         if isinstance(entry, dict):
             try:
@@ -128,19 +128,20 @@ def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
                 raise ValueError(
                     f"direction file: directions[{k}] needs numeric 'theta' and 'phi'"
                 ) from None
-            directions.append(unit_from_polar(theta, phi))
+            directions[k] = unit_from_polar(theta, phi)
         elif isinstance(entry, list) and len(entry) == 3:
-            v = np.asarray(entry, dtype=float)
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-12:
-                raise ValueError(f"direction file: directions[{k}] is a zero vector")
-            directions.append(v / norm)
+            cartesian.append(k)
         else:
             raise ValueError(
                 f"direction file: directions[{k}] must be [x, y, z] or "
                 "{'theta': t, 'phi': p}"
             )
-    return name, directions
+    rows = np.array([raw[k] for k in cartesian], dtype=float).reshape(-1, 3)
+    norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]  # as np.linalg.norm of one row
+    if len(zero := np.flatnonzero(norms < 1e-12)):
+        raise ValueError(f"direction file: directions[{cartesian[zero[0]]}] is a zero vector")
+    directions[cartesian] = rows / norms
+    return name, list(directions)
 
 
 def save_direction_file(path, name: str, directions) -> None:

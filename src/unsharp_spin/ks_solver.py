@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .crosscheck import check_coloring
-from .spin_core import as_unit_vector, canonical_phase, eigenvector_rows
+from .spin_core import UNIT_TOL, canonical_phase, eigenvector_rows
 from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
@@ -49,12 +49,12 @@ def _overlap_blocks(matrix: np.ndarray):
     for start in range(0, n, OVERLAP_BLOCK_ROWS):
         rows = matrix[start:start + OVERLAP_BLOCK_ROWS]
         block = np.abs(rows.conj() @ matrix[start:].T)
-        block[np.tril_indices(len(rows), 0, n - start)] = np.nan
+        block[np.arange(len(rows))[:, None] >= np.arange(n - start)] = np.nan
         yield start, block
 
 
 def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
-    """Normalize, phase-fix and deduplicate a list of complex 3-vectors.
+    """Normalize, phase-fix and deduplicate a stack of complex 3-vectors.
 
     Rays are kept in order of first occurrence; two vectors are the same
     ray when their overlap magnitude is at least 1 - 1e-9, and a vector
@@ -67,22 +67,22 @@ def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
     vectors; only vectors with an earlier near-duplicate get a
     sequential pass.
     """
-    canonical: list[np.ndarray] = []
-    for k, v in enumerate(vectors):
-        arr = np.asarray(v, dtype=complex)
-        if arr.shape != (3,):
-            raise ValueError(f"rays[{k}] must be a 3-vector, got shape {arr.shape}")
-        if np.linalg.norm(arr) < 1e-12:
-            raise ValueError(f"rays[{k}] is a zero vector")
-        canonical.append(canonical_phase(arr))
+    if len(vectors) == 0:
+        return []
+    stack = np.asarray(vectors, dtype=complex)
+    if stack.ndim != 2 or stack.shape[1] != 3:
+        raise ValueError(f"rays must be 3-vectors, got an array of shape {stack.shape}")
+    if len(zero := np.flatnonzero(np.linalg.norm(stack, axis=1) < 1e-12)):
+        raise ValueError(f"rays[{zero[0]}] is a zero vector")
+    canonical = canonical_phase(stack)
     near_duplicates_of: dict[int, list[int]] = {}
-    for start, block in _overlap_blocks(np.array(canonical)):
+    for start, block in _overlap_blocks(canonical):
         for i, j in (np.argwhere(block >= DEDUPE_OVERLAP) + start).tolist():
             near_duplicates_of.setdefault(j, []).append(i)
     kept = [True] * len(canonical)
     for j in sorted(near_duplicates_of):
         kept[j] = not any(kept[i] for i in near_duplicates_of[j])
-    return [ray for ray, keep in zip(canonical, kept) if keep]
+    return list(canonical[kept])
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,34 @@ def build_graph(rays) -> KsInstance:
     each pair by every common later neighbor k > j.  Raises on the first
     pair, in row-major order, that is the same ray.
     """
-    rays = [np.asarray(r, dtype=complex) for r in rays]
+    rays = np.asarray(rays, dtype=complex)
     pairs = []
-    for start, block in _overlap_blocks(np.array(rays)):
+    for start, block in _overlap_blocks(rays):
         same = np.argwhere(block >= DEDUPE_OVERLAP) + start
         if len(same):
             i, j = same[0].tolist()
             raise ValueError(f"rays {i} and {j} are the same ray; deduplicate first")
         pairs.extend(map(tuple, (np.argwhere(block <= ORTHO_TOL) + start).tolist()))
-    later_neighbors = [set() for _ in rays]
+    later_neighbors = [set() for _ in range(len(rays))]
     for i, j in pairs:
         later_neighbors[i].add(j)
     tripods = [
         (i, j, k) for i, j in pairs for k in sorted(later_neighbors[i] & later_neighbors[j])
     ]
     return KsInstance(len(rays), tuple(pairs), tuple(tripods))
+
+
+def _unit_directions(directions) -> np.ndarray:
+    """``directions`` as an (N, 3) array whose rows pass ``as_unit_vector``."""
+    units = np.asarray(directions, dtype=float)
+    if units.ndim != 2 or units.shape[1] != 3 or len(units) == 0:
+        raise ValueError(f"directions must be a non-empty list of 3-vectors, got shape {units.shape}")
+    if not np.all(np.isfinite(units)):
+        raise ValueError("directions have non-finite components")
+    excess = (units[:, None, :] @ units[:, :, None])[:, 0, 0] - 1.0
+    if len(bad := np.flatnonzero(np.abs(excess) > UNIT_TOL)):
+        raise ValueError(f"directions[{bad[0]}] must be a unit vector (|n|^2 - 1 = {excess[bad[0]]:.3e})")
+    return units
 
 
 def eigenray_set(directions) -> list[np.ndarray]:
@@ -140,11 +153,8 @@ def eigenray_set(directions) -> list[np.ndarray]:
     +-1 rays merged but their 0-rays kept apart, which splits the second
     eigenbasis; there ``ks_pipeline``, which keeps both, is the reference.
     """
-    if len(directions) == 0:
-        raise ValueError("directions must be a non-empty list")
-    units = np.array([as_unit_vector(n) for n in directions])
     # rows (+1, 0, -1) per direction, in direction order
-    vectors = np.stack(eigenvector_rows(units), axis=1).reshape(-1, 3)
+    vectors = np.stack(eigenvector_rows(_unit_directions(directions)), axis=1).reshape(-1, 3)
     return canonicalize_and_dedupe(vectors)
 
 
@@ -482,13 +492,12 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
     is the eigenray instance, of 3N' rays, 3N' + E pairs and N' + T
     tripods for N' directions, E orthogonal pairs and T orthogonal triads.
     """
-    if len(directions) == 0:
-        raise ValueError("directions must be a non-empty list")
+    units = _unit_directions(directions)
     alphas = alphas_for_model(model)
     ok, margins = condition2_check(alphas, delta)
     counts, result, conclusion = (0, 0, 0), None, CONDITION2_FAILED
     if ok:
-        graph = build_graph(canonicalize_and_dedupe([as_unit_vector(n) for n in directions]))
+        graph = build_graph(canonicalize_and_dedupe(units))
         kept = graph.ray_count
         counts = (3 * kept, 3 * kept + len(graph.ortho_pairs), kept + len(graph.tripods))
         result = solve_coloring(graph, mode="first_solution")

@@ -79,24 +79,24 @@ def spin_along(n) -> np.ndarray:
 
 
 def canonical_phase(v) -> np.ndarray:
-    """Normalize ``v`` and fix its global phase.
-
-    The returned vector has unit norm and its first component with
-    magnitude above ``PHASE_TOL`` is real and positive, which makes rays
-    comparable across runs.
-    """
-    w = np.asarray(v, dtype=complex)
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
+    """Normalize each row of ``v`` (one vector or an (N, d) stack) and fix
+    its global phase: the first component with magnitude above
+    ``PHASE_TOL`` becomes real and positive, which makes rays comparable
+    across runs.  Each row comes out bit for bit as it would alone: norms
+    are the dot products ``np.linalg.norm`` takes of one vector and
+    magnitudes are ``np.hypot``, as scalar ``abs`` (``np.abs`` is not)."""
+    v = np.asarray(v, dtype=complex)
+    w = v.reshape(-1, v.shape[-1])
+    norm = np.sqrt(sum(p[:, None, :] @ p[:, :, None] for p in (w.real, w.imag)))[:, 0]
+    if (norm < 1e-12).any():
         raise ValueError("cannot canonicalize a zero vector")
     w = w / norm
-    for k in range(w.shape[0]):
-        a = abs(w[k])
-        if a > PHASE_TOL:
-            w = w * (w[k].conjugate() / a)
-            w[k] = w[k].real  # discard residual imaginary dust
-            break
-    return w
+    mag = np.hypot(w.real, w.imag)
+    # lead: the first component above PHASE_TOL, which every unit row has
+    rows, lead = np.arange(len(w)), (mag > PHASE_TOL).argmax(axis=1)
+    w = w * (w[rows, lead].conj() / mag[rows, lead])[:, None]
+    w[rows, lead] = w[rows, lead].real  # discard residual imaginary dust
+    return w.reshape(v.shape)
 
 
 def eigenvector_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,8 +132,7 @@ def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     closed forms rather than a numerical eigensolve, so the vectors are
     deterministic and orthonormal up to rounding.
     """
-    rows = eigenvector_rows(as_unit_vector(n)[None, :])
-    return tuple(canonical_phase(psi[0]) for psi in rows)
+    return tuple(canonical_phase(np.concatenate(eigenvector_rows(as_unit_vector(n)[None, :]))))
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,7 @@ class EffectTriple:
 def sharp_projectors(n) -> EffectTriple:
     """Eigenprojectors |psi_i><psi_i| of spin_along(n) for i = +1, 0, -1:
     idempotent, mutually orthogonal, and summing to the identity."""
-    vecs = sharp_eigenvectors(n)
-    pp, p0, pm = (np.outer(psi, psi.conjugate()) for psi in vecs)
-    return EffectTriple(as_unit_vector(n), pp, p0, pm)
+    return EffectTriple(as_unit_vector(n), *(np.outer(psi, psi.conj()) for psi in sharp_eigenvectors(n)))
 
 
 def rotation_z(angle: float) -> np.ndarray:

@@ -252,6 +252,13 @@ class TestMisc:
         assert code == 2
         assert err == "error: --profile: profile file: 'profile' weights must be nonnegative\n"
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        code, _, err = run_cli(["alphas", "--epsilon", "0.4", "--output", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("error: --output: ")
+        assert not target.exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

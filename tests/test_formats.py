@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unsharp_spin import formats
+from unsharp_spin import spin_core as sc
 
 
 class TestRayFiles:
@@ -78,6 +79,24 @@ class TestDirectionFiles:
         assert name == "mix"
         np.testing.assert_allclose(dirs[0], [0, 0, 1], atol=1e-15)
         np.testing.assert_allclose(dirs[1], [1, 0, 0], atol=1e-12)
+
+    def test_mixed_rows_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(31)
+        entries, expected = [], []
+        for k in range(40):
+            if k % 3 == 0:
+                theta, phi = float(rng.uniform(0, np.pi)), float(rng.uniform(-np.pi, np.pi))
+                entries.append({"theta": theta, "phi": phi})
+                expected.append(sc.unit_from_polar(theta, phi))
+            else:
+                v = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
+                entries.append([float(x) for x in v])
+                expected.append(v / np.linalg.norm(v))
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps({"name": "mixed", "directions": entries}))
+        _, dirs = formats.load_direction_file(path)
+        assert len(dirs) == len(expected)
+        np.testing.assert_array_equal(np.array(dirs).view(np.uint64), np.array(expected).view(np.uint64))
 
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "dirs.json"

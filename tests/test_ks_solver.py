@@ -72,6 +72,14 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="zero"):
             ks.canonicalize_and_dedupe([np.zeros(3)])
 
+    def test_zero_row_error_names_its_index(self):
+        with pytest.raises(ValueError, match=r"^rays\[2\] is a zero vector$"):
+            ks.canonicalize_and_dedupe([X, Y, np.zeros(3), Z, np.zeros(3)])
+
+    def test_rejects_rows_that_are_not_3_vectors(self):
+        with pytest.raises(ValueError, match="3-vectors"):
+            ks.canonicalize_and_dedupe(np.ones((4, 2)))
+
     def test_stable_first_occurrence_order(self):
         rays = ks.canonicalize_and_dedupe([Y + 0j, X + 0j, Y * 2 + 0j, Z + 0j])
         np.testing.assert_allclose(rays[0], [0, 1, 0], atol=1e-15)
@@ -295,6 +303,32 @@ class TestPipeline:
     def test_rejects_empty_directions(self):
         with pytest.raises(ValueError, match="non-empty"):
             ks.ks_pipeline([], mis.UniformCap(0.4), 0.1)
+
+    @pytest.mark.parametrize(
+        "directions, bad_row", [([[1, 1, 1], [0, 0, 0]], 0), ([X, [0, 0, 0]], 1)], ids=["non-unit", "zero"]
+    )
+    def test_rejects_bad_directions_when_condition2_fails(self, directions, bad_row):
+        assert ks.ks_pipeline([X, Y], mis.UniformCap(0.6), 0.1).conclusion == ks.CONDITION2_FAILED
+        with pytest.raises(ValueError, match=rf"directions\[{bad_row}\] must be a unit vector"):
+            ks.ks_pipeline(directions, mis.UniformCap(0.6), 0.1)
+
+    def test_rejects_non_finite_and_misshapen_directions(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ks.ks_pipeline([X, [np.nan, 0, 0]], mis.UniformCap(0.4), 0.1)
+        with pytest.raises(ValueError, match="3-vectors"):
+            ks.ks_pipeline(np.eye(4), mis.UniformCap(0.4), 0.1)
+
+    def test_array_and_list_give_identical_reports(self):
+        rng = np.random.default_rng(77)
+        units = rng.normal(size=(60, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        _, peres = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
+        for directions in (units, np.array(peres)):
+            reports = [
+                formats.dumps_report(ks.ks_pipeline(d, mis.UniformCap(0.4), 0.1).to_dict())
+                for d in (directions, list(directions))
+            ]
+            assert reports[0] == reports[1]
 
     def test_report_dict_key_order(self):
         report = ks.ks_pipeline([X, Y, Z], mis.UniformCap(0.4), 0.1)

@@ -219,6 +219,20 @@ class TestWignerD1:
             assert max_abs(sc.spin1_representation(r) - oracle) < 1e-12
 
 
+def scalar_canonical_phase(v):
+    """Phase fix of one vector in scalar steps: ``np.linalg.norm`` of the
+    vector and Python ``abs`` of each component."""
+    w = np.asarray(v, dtype=complex)
+    w = w / float(np.linalg.norm(w))
+    for k in range(len(w)):
+        a = abs(w[k])
+        if a > sc.PHASE_TOL:
+            w = w * (w[k].conjugate() / a)
+            w[k] = w[k].real
+            return w
+    raise AssertionError("no component above PHASE_TOL")
+
+
 class TestCanonicalPhase:
     def test_scales_and_rotates_phase(self):
         v = np.array([0, 2.0, 0]) * np.exp(1j * 0.7)
@@ -233,3 +247,24 @@ class TestCanonicalPhase:
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="zero"):
             sc.canonical_phase([0, 0, 0])
+
+    def test_stack_matches_row_by_row_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        stack = rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3))
+        stack[:100] = stack[:100].real  # real rows
+        stack[100:200] *= 1e-6
+        # leading component at or below PHASE_TOL, so the phase is fixed on a later one
+        stack[200:300, 0] *= rng.choice([0.0, 1e-10, 5e-10, 1e-9], size=100)
+        stack[300:350, :2] *= 1e-10
+        stack[350:400] = np.round(stack[350:400] * 2)
+        stack = stack[np.linalg.norm(stack, axis=1) > 1e-12]
+        rows = np.array([sc.canonical_phase(row) for row in stack])
+        np.testing.assert_array_equal(sc.canonical_phase(stack).view(np.uint64), rows.view(np.uint64))
+        scalar = np.array([scalar_canonical_phase(row) for row in stack])
+        np.testing.assert_array_equal(rows.view(np.uint64), scalar.view(np.uint64))
+        for row in rows[::17]:
+            assert row[np.argmax(np.abs(row) > sc.PHASE_TOL)].imag == 0.0
+
+    def test_stack_rejects_a_zero_row(self):
+        with pytest.raises(ValueError, match="zero"):
+            sc.canonical_phase([[1, 0, 0], [0, 0, 0]])
