@@ -5,12 +5,14 @@ Subcommands: ``effects``, ``alphas``, ``threshold``, ``prob``,
 ``--degrees`` is given.  Every command prints a human-readable summary
 and, with ``--output PATH``, writes the same results as a JSON report
 with stable key order; identical invocations produce byte-identical
-output.  Input errors print ``error: ...`` to stderr and exit with status 2.
+output.  Input errors print ``error: ...`` to stderr, nothing to stdout,
+and exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import asdict
 
@@ -347,11 +349,14 @@ def main(argv=None) -> int:
     if getattr(args, "epsilon", None) is None and hasattr(args, "epsilon"):
         if not getattr(args, "profile", None):
             parser.error(f"{args.command}: --epsilon is required unless --profile is given")
+    out = io.StringIO()  # stdout only once the whole command has succeeded
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, out)
     except (ValueError, QuadratureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ tripod contains exactly one AT and no orthogonal pair contains two ATs.
 For spin 1 this instance is the orthogonality graph of the directions
 plus one private tripod per direction, so ``ks_pipeline`` solves the
 direction graph; ``eigenray_set`` builds the eigenrays as its oracle.
-The solver here decides colorability by backtracking with constraint
-propagation and can exhaustively count colorings; verdicts are
-deterministic (fixed iteration and branching order) and every SAT answer
-is re-validated by an independent checker.
+The solver here decides colorability by backtracking with unit
+propagation on ray bitsets and can exhaustively count colorings; verdicts
+are deterministic (fixed branching order) and every SAT answer is
+re-validated by an independent checker.
 """
 
 from __future__ import annotations
@@ -182,154 +182,158 @@ class SolveResult:
 
 
 class _Search:
-    """Backtracking search state with propagation to closure.
+    """Backtracking search with unit propagation on ray bitsets.
 
-    Propagation rules: an AT ray forces AF on all orthogonality
-    neighbors; a tripod with two AF members forces AT on the third; a
-    tripod with three AF members is a contradiction.  Branching picks the
-    most-constrained unsatisfied tripod (fewest uncolored members, then
-    lowest index) and tries AT before AF on its first uncolored ray.
+    Ray r is bit ``1 << r``.  ``neighbors[r]`` is the mask of r's
+    orthogonality neighbors, ``tripods_of[r]`` lists the member masks of
+    r's tripods, and the whole search state is the two masks ``at`` and
+    ``af``.  A decision frame saves the pair, so undoing a decision is one
+    assignment.
+
+    Propagation is unit propagation on the coloring clauses: an AT ray
+    makes its neighbors AF (two orthogonal ATs are a contradiction), and
+    a tripod whose AF members leave one ray forces that ray AT (three AF
+    members are a contradiction).  A tripod's two ATs are also two
+    orthogonal ATs, since every tripod edge is an orthogonal pair.  These
+    rules only add colors, so the closure they reach, and whether it
+    holds a contradiction, does not depend on the order they fire in.
+
+    Branching picks the first unsatisfied tripod with the fewest uncolored
+    members and tries AT before AF on its lowest uncolored ray.  After
+    propagation an unsatisfied tripod has at most one AF member, so the
+    first tripod with one is taken at once, and otherwise the first
+    unsatisfied tripod.
 
     A node where every tripod holds its AT is a leaf.  Each AT has forced
     AF on its neighbors, so no uncolored ray lies in a tripod or next to
     an AT, and the only constraint left is "no two orthogonal ATs" among
     the uncolored rays.  The leaf's colorings are therefore the
     independent sets of the graph those rays induce; count_all adds their
-    number (``_leaf_count``) instead of branching further, so ``nodes``
-    and ``max_depth`` count tripod decisions only.  The first leaf's
-    coloring colors the uncolored rays AF in both modes.
+    number (``_leaf_count``, cached per connected component for the whole
+    search) instead of branching further, so ``nodes`` and ``max_depth``
+    count tripod decisions only.  The first leaf's coloring colors the
+    uncolored rays AF in both modes.
     """
 
     def __init__(self, instance: KsInstance, count_all: bool):
-        self.instance = instance
+        self.ray_count = n = instance.ray_count
         self.count_all = count_all
-        n = instance.ray_count
-        self.colors: list[str | None] = [None] * n
-        self.neighbors = [[] for _ in range(n)]
+        self.neighbors = [0] * n
         for i, j in instance.ortho_pairs:
-            self.neighbors[i].append(j)
-            self.neighbors[j].append(i)
+            self.neighbors[i] |= 1 << j
+            self.neighbors[j] |= 1 << i
+        self.tripods = [(1 << i) | (1 << j) | (1 << k) for i, j, k in instance.tripods]
         self.tripods_of = [[] for _ in range(n)]
-        for t, tripod in enumerate(instance.tripods):
+        for mask, tripod in zip(self.tripods, instance.tripods):
             for i in tripod:
-                self.tripods_of[i].append(t)
-        self.at_in_tripod = [0] * len(instance.tripods)
-        self.af_in_tripod = [0] * len(instance.tripods)
-        self.trail: list[int] = []
+                self.tripods_of[i].append(mask)
+        self.at = self.af = 0
+        self.component_counts: dict[int, int] = {}  # ray mask -> independent sets
         self.nodes = 0
         self.max_depth = 0
         self.count = 0
         self.first_solution: dict | None = None
 
-    # -- assignment with undo ------------------------------------------------
-
-    def _assign(self, ray: int, color: str, queue: list) -> bool:
-        existing = self.colors[ray]
-        if existing is not None:
-            return existing == color
-        self.colors[ray] = color
-        self.trail.append(ray)
-        # update every counter before any early return: _undo reverses all
-        # of them unconditionally, so bookkeeping must stay symmetric
-        if color == AT:
-            for t in self.tripods_of[ray]:
-                self.at_in_tripod[t] += 1
-            for t in self.tripods_of[ray]:
-                if self.at_in_tripod[t] > 1:
+    def _propagate(self, ray: int, color: str) -> bool:
+        """Color ``ray`` and propagate to closure; the state changes only
+        if no contradiction arises, and then True is returned."""
+        at, af = self.at, self.af
+        new_at, new_af = (1 << ray, 0) if color == AT else (0, 1 << ray)
+        while True:
+            af |= new_af
+            while new_af:
+                low = new_af & -new_af
+                new_af ^= low
+                for mask in self.tripods_of[low.bit_length() - 1]:
+                    rest = mask & ~af
+                    if not rest:
+                        return False
+                    if not rest & (rest - 1):
+                        new_at |= rest
+            new_at &= ~at
+            if not new_at:
+                break
+            at |= new_at
+            while new_at:
+                low = new_at & -new_at
+                new_at ^= low
+                around = self.neighbors[low.bit_length() - 1]
+                if around & at:
                     return False
-            for other in self.neighbors[ray]:
-                queue.append((other, AF))
-        else:
-            for t in self.tripods_of[ray]:
-                self.af_in_tripod[t] += 1
-            for t in self.tripods_of[ray]:
-                if self.af_in_tripod[t] == 3:
-                    return False
-                if self.af_in_tripod[t] == 2 and self.at_in_tripod[t] == 0:
-                    for member in self.instance.tripods[t]:
-                        if self.colors[member] is None:
-                            queue.append((member, AT))
+                new_af |= around
+            new_af &= ~af
+        self.at, self.af = at, af
         return True
 
-    def _propagate(self, ray: int, color: str) -> int | None:
-        """Assign and propagate to closure; returns a trail checkpoint to
-        undo to, or None on contradiction."""
-        mark = len(self.trail)
-        queue = [(ray, color)]
-        while queue:
-            r, c = queue.pop()
-            if not self._assign(r, c, queue):
-                self._undo(mark)
-                return None
-        return mark
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            ray = self.trail.pop()
-            color = self.colors[ray]
-            self.colors[ray] = None
-            for t in self.tripods_of[ray]:
-                if color == AT:
-                    self.at_in_tripod[t] -= 1
-                else:
-                    self.af_in_tripod[t] -= 1
-
-    # -- branching -----------------------------------------------------------
-
     def _pick_branch_ray(self) -> int | None:
-        best_ray, best_uncolored = None, 4
-        for t, tripod in enumerate(self.instance.tripods):
-            if self.at_in_tripod[t] > 0:
-                continue
-            uncolored = [i for i in tripod if self.colors[i] is None]
-            if uncolored and len(uncolored) < best_uncolored:
-                best_uncolored = len(uncolored)
-                best_ray = uncolored[0]
-                if best_uncolored == 1:
+        at, af = self.at, self.af
+        pick = 0
+        for mask in self.tripods:
+            if not mask & at:
+                if mask & af:
+                    pick = mask & ~af
                     break
-        return best_ray
+                pick = pick or mask
+        return (pick & -pick).bit_length() - 1 if pick else None
 
     def _record_solution(self) -> None:
         if self.first_solution is None:
-            self.first_solution = {
-                i: (self.colors[i] if self.colors[i] is not None else AF)
-                for i in range(self.instance.ray_count)
-            }
+            self.first_solution = dict.fromkeys(range(self.ray_count), AF)
+            at = self.at
+            while at:
+                low = at & -at
+                at ^= low
+                self.first_solution[low.bit_length() - 1] = AT
         if self.count_all:
             self.count += self._leaf_count()
 
     def _leaf_count(self) -> int:
         """Colorings that complete a leaf: the product, over connected
         components of the orthogonality graph on the uncolored rays, of
-        each component's number of independent sets."""
-        total = 1
-        seen = [c is not None for c in self.colors]
-        for root in range(self.instance.ray_count):
-            if seen[root]:
+        each component's number of independent sets.
+
+        Each component is flooded breadth-first from its lowest ray, and
+        its count is cached by its ray mask for the whole search: sibling
+        leaves share most of their components.
+        """
+        neighbors = self.neighbors
+        free = ((1 << self.ray_count) - 1) & ~(self.at | self.af)
+        total, isolated = 1, 0
+        while free:
+            root = free & -free
+            order, component = [root.bit_length() - 1], root
+            for ray in order:
+                new = neighbors[ray] & free & ~component
+                component |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    order.append(low.bit_length() - 1)
+            free ^= component
+            if component == root:
+                isolated += 1
                 continue
-            seen[root] = True
-            component = [root]  # breadth-first order
-            for ray in component:
-                for other in self.neighbors[ray]:
-                    if not seen[other]:
-                        seen[other] = True
-                        component.append(other)
-            if len(component) == 1:
-                total *= 2
-                continue
-            bit = {ray: 1 << k for k, ray in enumerate(component)}
-            closed = [
-                bit[ray] | sum(bit[o] for o in self.neighbors[ray] if o in bit)
-                for ray in component
-            ]
-            total *= _independent_sets(closed)
-        return total
+            count = self.component_counts.get(component)
+            if count is None:
+                # breadth-first numbering keeps _independent_sets' masks few
+                position = {1 << ray: 1 << k for k, ray in enumerate(order)}
+                closed = []
+                for k, ray in enumerate(order):
+                    bits, around = 1 << k, neighbors[ray] & component
+                    while around:
+                        low = around & -around
+                        around ^= low
+                        bits |= position[low]
+                    closed.append(bits)
+                count = self.component_counts[component] = _independent_sets(closed)
+            total *= count
+        return total << isolated
 
     def run(self) -> bool:
         """Depth-first search on an explicit stack, so the depth is not
         bounded by the interpreter's recursion limit; returns True to stop
         early (SAT found and not counting)."""
-        frames: list[tuple] = []  # (ray, color, undo mark) per decision on the path
+        frames: list[tuple] = []  # (ray, color, at, af before it) per decision on the path
         while True:
             self.max_depth = max(self.max_depth, len(frames))
             ray = self._pick_branch_ray()
@@ -347,13 +351,12 @@ class _Search:
                 if color is None:
                     if not frames:
                         return False
-                    ray, color, mark = frames.pop()
-                    self._undo(mark)
+                    ray, color, self.at, self.af = frames.pop()
                 else:
                     self.nodes += 1
-                    mark = self._propagate(ray, color)
-                    if mark is not None:
-                        frames.append((ray, color, mark))
+                    saved = (self.at, self.af)
+                    if self._propagate(ray, color):
+                        frames.append((ray, color, *saved))
                         break
                 color = AF if color == AT else None
 
@@ -362,31 +365,23 @@ def _independent_sets(closed: list[int]) -> int:
     """Number of independent sets of a graph on vertices 0..n-1, where
     ``closed[v]`` is the bitmask of v and its neighbors.
 
-    Splits on the lowest remaining vertex (excluded, or included with its
-    neighbors removed), memoized by the mask of remaining vertices, on an
-    explicit stack so no graph size reaches the recursion limit.  With
-    vertices in breadth-first order a remaining mask is a suffix less
-    neighbors of decided vertices, so the memo stays small on sparse
-    graphs (linear in n on a path or a cycle).
+    Decides the vertices in order, keeping for each mask of later vertices
+    that the chosen ones forbid the number of partial sets that forbid
+    exactly those.  With vertices in breadth-first order a forbidden mask
+    only holds vertices near the search front, so the masks stay few on
+    sparse graphs (at most four on a path or a cycle).
     """
-    full = (1 << len(closed)) - 1
-    memo = {0: 1}
-    stack = [full]
-    while stack:
-        mask = stack[-1]
-        if mask in memo:
-            stack.pop()
-            continue
-        low = mask & -mask
-        without = mask & ~low
-        with_low = mask & ~closed[low.bit_length() - 1]
-        pending = [m for m in (without, with_low) if m not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        memo[mask] = memo[without] + memo[with_low]
-        stack.pop()
-    return memo[full]
+    counts = {0: 1}
+    for v, around in enumerate(closed):
+        bit, later = 1 << v, around >> (v + 1) << (v + 1)
+        step: dict[int, int] = {}
+        for forbidden, count in counts.items():
+            kept = forbidden & ~bit
+            step[kept] = step.get(kept, 0) + count
+            if not forbidden & bit:
+                step[kept | later] = step.get(kept | later, 0) + count
+        counts = step
+    return counts[0]
 
 
 def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveResult:

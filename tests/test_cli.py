@@ -1,10 +1,15 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from unsharp_spin import cli, formats, verify
+
+
+# SHA-256 of `ks-check --output` on the Peres directions at epsilon 0.4, delta 0.1
+PERES_REPORT_SHA256 = "f0bbe628027cab015b7a121d4e2c2f34e947b9acf4484d5698abcda2fa99fde4"
 
 
 def run_cli(argv, capsys):
@@ -167,6 +172,23 @@ class TestKsCheck:
         assert doc["conclusion"] == "KS_CONTRADICTION"
         assert doc["solve"]["verdict"] == "UNSAT"
 
+    def test_peres_report_bytes_are_pinned(self, capsys, tmp_path):
+        # any rewrite of the geometry or the search must reproduce this report
+        path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            [
+                "ks-check",
+                "--directions", str(formats.fixture_path("peres33_directions.json")),
+                "--epsilon", "0.4",
+                "--delta", "0.1",
+                "--output", str(path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "solver: UNSAT (16 nodes, depth 3)\n" in out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PERES_REPORT_SHA256
+
     def test_condition_failure(self, capsys):
         code, out, _ = run_cli(
             [
@@ -254,8 +276,9 @@ class TestMisc:
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
-        code, _, err = run_cli(["alphas", "--epsilon", "0.4", "--output", str(target)], capsys)
+        code, out, err = run_cli(["alphas", "--epsilon", "0.4", "--output", str(target)], capsys)
         assert code == 2
+        assert out == ""
         assert err.startswith("error: --output: ")
         assert not target.exists()
 

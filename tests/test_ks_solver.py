@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,82 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def relabelled(n: int, pairs, seed: int) -> ks.KsInstance:
+    """A tripod-free instance with its vertices renamed by a seeded
+    permutation, pairs in build_graph's row-major order."""
+    label = np.random.default_rng(seed).permutation(n).tolist()
+    return free_instance(n, sorted(tuple(sorted((label[i], label[j]))) for i, j in pairs))
+
+
+def integer49_subset(seed: int) -> ks.KsInstance:
+    """Graph of a seeded subset of 20-28 integer-49 rays."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(20, 29))
+    _, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
+    return ks.build_graph([rays[i] for i in sorted(rng.choice(len(rays), size=size, replace=False))])
+
+
+def ray_fixture_graph(name: str) -> ks.KsInstance:
+    return ks.build_graph(formats.load_ray_file(formats.fixture_path(name))[1])
+
+
+def peres_direction_graph() -> ks.KsInstance:
+    _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
+    return ks.build_graph(ks.canonicalize_and_dedupe(np.asarray(dirs)))
+
+
+# (verdict, count, nodes_explored, max_depth, coloring as T/F per ray) in
+# first_solution and count_all mode: any rewrite of the search must
+# reproduce its branching order, not only its verdicts and counts
+SEARCH_TRACES = {
+    "peres33-rays": (
+        lambda: ray_fixture_graph("peres33_rays.json"),
+        ("UNSAT", None, 16, 3, None),
+        ("UNSAT", None, 16, 3, None),
+    ),
+    "integer49-rays": (
+        lambda: ray_fixture_graph("integer49_rays.json"),
+        ("UNSAT", None, 22, 4, None),
+        ("UNSAT", None, 22, 4, None),
+    ),
+    "peres-direction-graph": (
+        peres_direction_graph,
+        ("UNSAT", None, 16, 3, None),
+        ("UNSAT", None, 16, 3, None),
+    ),
+    "integer49-subset-2": (
+        lambda: integer49_subset(2),
+        ("SAT", None, 6, 6, "FFTTTTTTFFFFFFFFFFFFFFFFFFF"),
+        ("SAT", 8474, 346, 9, "FFTTTTTTFFFFFFFFFFFFFFFFFFF"),
+    ),
+    "integer49-subset-4": (
+        lambda: integer49_subset(4),
+        ("SAT", None, 1, 1, "FFFFFTFFFFFFFFFFFFFFFFFFFF"),
+        ("SAT", 127472, 4, 2, "FFFFFTFFFFFFFFFFFFFFFFFFFF"),
+    ),
+    "integer49-subset-7": (
+        lambda: integer49_subset(7),
+        ("SAT", None, 3, 3, "TFFFFFTFTFFFFFFFFFFFFFFFFFFF"),
+        ("SAT", 125464, 40, 5, "TFFFFFTFTFFFFFFFFFFFFFFFFFFF"),
+    ),
+    "integer49-subset-13": (
+        lambda: integer49_subset(13),
+        ("SAT", None, 5, 5, "TFFTFFFFTFFFTFTFFFFFFFFFFFFF"),
+        ("SAT", 10297, 102, 8, "TFFTFFFFTFFFTFTFFFFFFFFFFFFF"),
+    ),
+    "integer49-subset-17": (
+        lambda: integer49_subset(17),
+        ("SAT", None, 5, 5, "TTFTFFFFFTFFFFFFFTFFFFFFFF"),
+        ("SAT", 1444, 94, 7, "TTFTFFFFFTFFFFFFFTFFFFFFFF"),
+    ),
+    "integer49-subset-23": (
+        lambda: integer49_subset(23),
+        ("SAT", None, 2, 2, "TTFFFFFFFFFFFFFFFFFF"),
+        ("SAT", 10816, 16, 4, "TTFFFFFFFFFFFFFFFFFF"),
+    ),
+}
 
 
 class TestCanonicalize:
@@ -216,6 +294,36 @@ class TestSolver:
             pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
             result = ks.solve_coloring(free_instance(n, pairs), mode="count_all")
             assert result.count == fibonacci(n - 1) + fibonacci(n + 1), n
+
+    # Labels in a seeded order: the independent-set count relabels each
+    # component breadth-first, without which its memo grows exponentially
+    # on these (tens of seconds for one 60-cycle).
+
+    def test_relabelled_path_counts_fibonacci(self):
+        start = time.perf_counter()
+        for n in range(1, 61):
+            inst = relabelled(n, [(i, i + 1) for i in range(n - 1)], seed=n)
+            assert ks.solve_coloring(inst, mode="count_all").count == fibonacci(n + 2), n
+        assert time.perf_counter() - start < 2.0
+
+    def test_relabelled_cycle_counts_lucas(self):
+        start = time.perf_counter()
+        for n in range(4, 61):
+            inst = relabelled(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)], seed=n)
+            result = ks.solve_coloring(inst, mode="count_all")
+            assert result.count == fibonacci(n - 1) + fibonacci(n + 1), n
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("mode", ["first_solution", "count_all"])
+    @pytest.mark.parametrize("case", list(SEARCH_TRACES))
+    def test_search_trace_is_pinned(self, case, mode):
+        build, *expected = SEARCH_TRACES[case]
+        result = ks.solve_coloring(build(), mode=mode)
+        coloring = None
+        if result.coloring is not None:
+            coloring = "".join("T" if result.coloring[i] == "AT" else "F" for i in sorted(result.coloring))
+        got = (result.verdict, result.count, result.nodes_explored, result.max_depth, coloring)
+        assert got == expected[mode == "count_all"]
 
     def test_free_rays_count_powers_of_two(self):
         result = ks.solve_coloring(free_instance(1200, ()), mode="count_all")
