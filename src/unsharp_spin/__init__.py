@@ -18,7 +18,6 @@ from .formats import (
     load_profile_file,
     load_ray_file,
     save_direction_file,
-    save_ray_file,
     write_report,
 )
 from .ks_solver import (
@@ -114,7 +113,6 @@ __all__ = [
     "outcome_probabilities",
     "rotation_from_euler",
     "save_direction_file",
-    "save_ray_file",
     "sharp_eigenvectors",
     "sharp_projectors",
     "simulate_outcomes",

@@ -1,14 +1,6 @@
-"""File formats: ray sets, direction sets, tabulated profiles, reports.
+"""File formats: direction sets, tabulated profiles, reports.
 
-Ray-set files::
-
-    { "name": str, "field": "real" | "complex", "rays": [[c1, c2, c3], ...] }
-
-where each component is a decimal number ("real") or an [re, im] pair
-("complex").  Unnormalized input is allowed; rays are normalized,
-phase-canonicalized and deduplicated on load.
-
-Direction-set files::
+Direction-set files are the only input the KS check reads::
 
     { "name": str, "directions": [[x, y, z] | {"theta": t, "phi": p}, ...] }
 
@@ -20,6 +12,14 @@ Profile files (tabulated axial density)::
 
 evaluated by linear interpolation on [0, epsilon], which the thetas must span.
 
+Each row of numbers is read by one parser, ``_number_rows``: a row must
+be a list of finite numbers (a boolean is not a number), and an error
+names the row as ``key[k]``.
+
+Ray-set files, ``{ "name": str, "field": "real", "rays": [[x, y, z], ...] }``,
+are read only by the benchmark: the two bundled ones hold the rows of the
+Peres-33 and integer-49 direction files, as its frozen copies.
+
 Reports are JSON with keys in a fixed order, so identical inputs produce
 byte-identical files.
 """
@@ -27,6 +27,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -37,77 +38,62 @@ from .spin_core import unit_from_polar
 
 
 def fixture_path(name: str):
-    """Path to a bundled data file (e.g. ``peres33_rays.json``)."""
+    """Path to a bundled data file (e.g. ``peres33_directions.json``)."""
     path = resources.files("unsharp_spin").joinpath("data", name)
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return path
 
 
-def _component_to_complex(value, where: str, field: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if (
-        field == "complex"
-        and isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"{where}: bad component {value!r} for field {field!r}")
-
-
 def _load_object(path, kind: str) -> dict:
-    """Read a JSON file whose top level must be an object."""
+    """Read a JSON file whose top level must be an object.
+
+    Integers are read as floats, so one too large for a float reads as
+    inf, which ``_number_rows`` rejects like any non-finite number.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=float)
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file: top level must be an object")
     return doc
 
 
-def load_ray_file(path) -> tuple[str, list[np.ndarray]]:
-    """Load, normalize and deduplicate a ray-set file.
+def _number_rows(rows: list, fields: tuple, where: str, labels=None) -> np.ndarray:
+    """``rows`` as a float array of shape (len(rows), len(fields)).
 
-    Returns ``(name, rays)``.  Errors name the offending field.
+    Each row must be a list of ``len(fields)`` finite numbers; a boolean
+    is not a number.  The error for row k names ``where[labels[k]]``
+    (labels default to the row positions).
+    """
+    for k, row in enumerate(rows):
+        if not (
+            isinstance(row, list)
+            and len(row) == len(fields)
+            and all(type(x) is float and math.isfinite(x) for x in row)
+        ):
+            label = k if labels is None else labels[k]
+            raise ValueError(
+                f"{where}[{label}] must be [{', '.join(fields)}] with finite numeric components, got {row!r}"
+            )
+    return np.array(rows, dtype=float).reshape(-1, len(fields))
+
+
+def load_ray_file(path) -> tuple[str, list[np.ndarray]]:
+    """Load a real ray-set file: its rows, normalized, phase-fixed and
+    deduplicated by ``canonicalize_and_dedupe``.
+
+    Only the benchmark reads ray files; the package reads direction sets.
     """
     doc = _load_object(path, "ray")
     name = doc.get("name")
     if not isinstance(name, str):
         raise ValueError("ray file: 'name' must be a string")
-    fieldtag = doc.get("field")
-    if fieldtag not in ("real", "complex"):
-        raise ValueError("ray file: 'field' must be 'real' or 'complex'")
+    if doc.get("field") != "real":
+        raise ValueError("ray file: 'field' must be 'real'")
     raw = doc.get("rays")
     if not isinstance(raw, list) or not raw:
         raise ValueError("ray file: 'rays' must be a non-empty list")
-    vectors = []
-    for k, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != 3:
-            raise ValueError(f"ray file: rays[{k}] must have 3 components")
-        vectors.append(
-            np.array(
-                [_component_to_complex(c, f"rays[{k}]", fieldtag) for c in row]
-            )
-        )
-    return name, canonicalize_and_dedupe(vectors)
-
-
-def save_ray_file(path, name: str, rays, field: str = "complex") -> None:
-    """Write a ray-set file; components carry full double precision."""
-    rows = []
-    for ray in rays:
-        arr = np.asarray(ray, dtype=complex)
-        if field == "real":
-            if np.max(np.abs(arr.imag)) > 1e-12:
-                raise ValueError("field 'real' requested but rays have imaginary parts")
-            rows.append([float(c.real) for c in arr])
-        else:
-            rows.append([[float(c.real), float(c.imag)] for c in arr])
-    doc = {"name": name, "field": field, "rays": rows}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    return name, canonicalize_and_dedupe(_number_rows(raw, ("x", "y", "z"), "ray file: rays"))
 
 
 def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
@@ -119,27 +105,21 @@ def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
     raw = doc.get("directions")
     if not isinstance(raw, list) or not raw:
         raise ValueError("direction file: 'directions' must be a non-empty list")
+    where = "direction file: directions"
     directions, cartesian = np.empty((len(raw), 3)), []
     for k, entry in enumerate(raw):
         if isinstance(entry, dict):
-            try:
-                theta, phi = float(entry["theta"]), float(entry["phi"])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(
-                    f"direction file: directions[{k}] needs numeric 'theta' and 'phi'"
-                ) from None
+            row = [entry.get("theta"), entry.get("phi")]
+            ((theta, phi),) = _number_rows([row], ("theta", "phi"), where, [k])
             directions[k] = unit_from_polar(theta, phi)
-        elif isinstance(entry, list) and len(entry) == 3:
+        elif isinstance(entry, list):
             cartesian.append(k)
         else:
-            raise ValueError(
-                f"direction file: directions[{k}] must be [x, y, z] or "
-                "{'theta': t, 'phi': p}"
-            )
-    rows = np.array([raw[k] for k in cartesian], dtype=float).reshape(-1, 3)
+            raise ValueError(f"{where}[{k}] must be [x, y, z] or {{'theta': t, 'phi': p}}")
+    rows = _number_rows([raw[k] for k in cartesian], ("x", "y", "z"), where, cartesian)
     norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]  # as np.linalg.norm of one row
     if len(zero := np.flatnonzero(norms < 1e-12)):
-        raise ValueError(f"direction file: directions[{cartesian[zero[0]]}] is a zero vector")
+        raise ValueError(f"{where}[{cartesian[zero[0]]}] is a zero vector")
     directions[cartesian] = rows / norms
     return name, list(directions)
 
@@ -163,14 +143,7 @@ def load_profile_file(path) -> AxialDensity:
     table = doc.get("profile")
     if not isinstance(table, list) or len(table) < 2:
         raise ValueError("profile file: 'profile' must list at least 2 [theta, weight] rows")
-    thetas, weights = [], []
-    for k, row in enumerate(table):
-        if not (isinstance(row, list) and len(row) == 2):
-            raise ValueError(f"profile file: profile[{k}] must be [theta, weight]")
-        thetas.append(float(row[0]))
-        weights.append(float(row[1]))
-    thetas = np.asarray(thetas)
-    weights = np.asarray(weights)
+    thetas, weights = _number_rows(table, ("theta", "weight"), "profile file: profile").T
     if np.any(np.diff(thetas) <= 0):
         raise ValueError("profile file: 'profile' thetas must be strictly increasing")
     if np.any(weights < 0):

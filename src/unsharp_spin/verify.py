@@ -6,6 +6,8 @@ triple (one sweep checks resolution of identity, positivity, the shared
 eigenbasis, spectra and rotation covariance), eigenvalue closed forms,
 simulator consistency, the eigenray overlap laws (and the direction-graph
 pipeline against the eigenray instance), and solver/oracle agreement.
+The KS checks read the bundled direction sets (``peres33_directions.json``
+and ``integer49_directions.json``) and search their orthogonality graphs.
 Used by ``unsharp-spin verify``; any failure makes it exit nonzero.
 
 All checks draw from fixed seeds, so two runs produce identical output.
@@ -285,11 +287,11 @@ def check_real_embedding():
         if np.linalg.norm(perp) > 1e-6:
             worst = max(worst, residual(n, perp / np.linalg.norm(perp)))
     _, peres = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
-    _, integer49 = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
+    _, integer49 = formats.load_direction_file(formats.fixture_path("integer49_directions.json"))
     subset = [peres[i] for i in sorted(rng.choice(len(peres), size=20, replace=False))]
     direction_sets = {
         "peres-33": peres,
-        "integer-49": [np.real(r) for r in integer49],
+        "integer-49": integer49,
         "xyz": list(np.eye(3)),
         "peres-20": subset + [-subset[0], -subset[7]],  # negated copies are the same directions
     }
@@ -314,15 +316,15 @@ def check_real_embedding():
 
 def check_solver_against_brute_force():
     """Verdicts and counts match exhaustive enumeration on small
-    sub-instances of the bundled ray set, and the solver's coloring and
-    brute force's example both pass the constraint checker."""
-    _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+    sub-instances of the Peres direction graph, and the solver's coloring
+    and brute force's example both pass the constraint checker."""
+    _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
     rng = np.random.default_rng(SEED + 11)
     mismatches = 0
     for _ in range(100):
         k = int(rng.integers(3, 16))
-        idx = rng.choice(len(rays), size=k, replace=False)
-        sub = [rays[i] for i in sorted(idx)]
+        idx = rng.choice(len(dirs), size=k, replace=False)
+        sub = [dirs[i] for i in sorted(idx)]
         instance = ks_solver.build_graph(sub)
         result = ks_solver.solve_coloring(instance, mode="count_all")
         count, example = crosscheck.brute_force_colorings(instance)
@@ -337,11 +339,12 @@ def check_solver_against_brute_force():
 
 
 def check_fixture_noncolorability():
-    """Both bundled ray sets are non-colorable; the DPLL agrees."""
+    """The direction graphs of both bundled direction sets are
+    non-colorable; the DPLL agrees."""
     details = []
-    for fixture in ("peres33_rays.json", "integer49_rays.json"):
-        name, rays = formats.load_ray_file(formats.fixture_path(fixture))
-        instance = ks_solver.build_graph(rays)
+    for fixture in ("peres33_directions.json", "integer49_directions.json"):
+        name, dirs = formats.load_direction_file(formats.fixture_path(fixture))
+        instance = ks_solver.build_graph(dirs)
         result = ks_solver.solve_coloring(instance)
         sat, _ = crosscheck.dpll_solve(instance)
         if result.is_sat or result.nodes_explored == 0 or sat:
@@ -352,13 +355,13 @@ def check_fixture_noncolorability():
 
 def check_unsat_monotonicity():
     """Once a sub-instance is non-colorable, every superset stays so."""
-    _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+    _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
     rng = np.random.default_rng(SEED + 13)
-    order = list(rng.permutation(len(rays)))
+    order = list(rng.permutation(len(dirs)))
     sizes = (20, 25, 29, 33)
     last_unsat = False
     for size in sizes:
-        sub = [rays[i] for i in sorted(order[:size])]
+        sub = [dirs[i] for i in sorted(order[:size])]
         result = ks_solver.solve_coloring(ks_solver.build_graph(sub))
         if last_unsat and result.is_sat:
             return False, f"UNSAT subset became SAT at size {size}"

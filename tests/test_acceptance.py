@@ -120,8 +120,8 @@ def test_criterion_07_isotropic_limit():
 def test_criterion_08_peres33_noncolorability():
     with criterion(8, "bundled 33-ray set is UNSAT; brute force agrees on sub-instances"):
         start = time.perf_counter()
-        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        instance = ks.build_graph(rays)
+        _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
+        instance = ks.build_graph(dirs)
         result = ks.solve_coloring(instance, mode="first_solution")
         assert result.verdict == "UNSAT"
         ok, detail = verify.check_solver_against_brute_force()

@@ -240,6 +240,14 @@ class TestKsCheck:
         assert code == 2
         assert err == "error: --directions: direction file: directions[1] is a zero vector\n"
 
+    def test_null_component_file_errors(self, capsys, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps({"name": "n", "directions": [[0, 0, 1], [1, 0, None]]}))
+        argv = ["ks-check", "--directions", str(path), "--epsilon", "0.4", "--delta", "0.1"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --directions: direction file: directions[1] must be [x, y, z] with finite")
+
 
 class TestVerify:
     def test_pass_and_fail_lines(self, capsys, tmp_path, monkeypatch):
@@ -273,6 +281,14 @@ class TestMisc:
         code, _, err = run_cli(["alphas", "--profile", str(profile)], capsys)
         assert code == 2
         assert err == "error: --profile: profile file: 'profile' weights must be nonnegative\n"
+
+    @pytest.mark.parametrize("row", ["[0.2, null]", "[NaN, 1]"], ids=["null-weight", "nan-theta"])
+    def test_malformed_profile_row(self, capsys, tmp_path, row):
+        profile = tmp_path / "prof.json"
+        profile.write_text(f'{{"name": "p", "epsilon": 0.4, "profile": [[0, 1], {row}, [0.4, 1]]}}')
+        code, out, err = run_cli(["alphas", "--profile", str(profile)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --profile: profile file: profile[1] must be [theta, weight] with finite")
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

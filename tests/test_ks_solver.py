@@ -61,41 +61,36 @@ def relabelled(n: int, pairs, seed: int) -> ks.KsInstance:
     return free_instance(n, sorted(tuple(sorted((label[i], label[j]))) for i, j in pairs))
 
 
+def fixture_directions(name: str) -> list[np.ndarray]:
+    return formats.load_direction_file(formats.fixture_path(f"{name}_directions.json"))[1]
+
+
 def integer49_subset(seed: int) -> ks.KsInstance:
-    """Graph of a seeded subset of 20-28 integer-49 rays."""
+    """Graph of a seeded subset of 20-28 integer-49 directions."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(20, 29))
-    _, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
-    return ks.build_graph([rays[i] for i in sorted(rng.choice(len(rays), size=size, replace=False))])
+    dirs = fixture_directions("integer49")
+    return ks.build_graph([dirs[i] for i in sorted(rng.choice(len(dirs), size=size, replace=False))])
 
 
-def ray_fixture_graph(name: str) -> ks.KsInstance:
-    return ks.build_graph(formats.load_ray_file(formats.fixture_path(name))[1])
-
-
-def peres_direction_graph() -> ks.KsInstance:
-    _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
-    return ks.build_graph(ks.canonicalize_and_dedupe(np.asarray(dirs)))
+def direction_graph(name: str) -> ks.KsInstance:
+    """The graph ``ks_pipeline`` searches for a bundled direction set."""
+    return ks.build_graph(ks.canonicalize_and_dedupe(np.asarray(fixture_directions(name))))
 
 
 # (verdict, count, nodes_explored, max_depth, coloring as T/F per ray) in
 # first_solution and count_all mode: any rewrite of the search must
 # reproduce its branching order, not only its verdicts and counts
 SEARCH_TRACES = {
-    "peres33-rays": (
-        lambda: ray_fixture_graph("peres33_rays.json"),
-        ("UNSAT", None, 16, 3, None),
-        ("UNSAT", None, 16, 3, None),
-    ),
-    "integer49-rays": (
-        lambda: ray_fixture_graph("integer49_rays.json"),
-        ("UNSAT", None, 22, 4, None),
-        ("UNSAT", None, 22, 4, None),
-    ),
     "peres-direction-graph": (
-        peres_direction_graph,
+        lambda: direction_graph("peres33"),
         ("UNSAT", None, 16, 3, None),
         ("UNSAT", None, 16, 3, None),
+    ),
+    "integer49-direction-graph": (
+        lambda: direction_graph("integer49"),
+        ("UNSAT", None, 22, 4, None),
+        ("UNSAT", None, 22, 4, None),
     ),
     "integer49-subset-2": (
         lambda: integer49_subset(2),
@@ -243,11 +238,11 @@ class TestSolver:
         counted = ks.solve_coloring(inst, mode="count_all")
         assert first.verdict == counted.verdict == "SAT"
         assert first.coloring == counted.coloring
-        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+        dirs = fixture_directions("peres33")
         rng = np.random.default_rng(33)
         subsets = [
-            ks.build_graph([rays[i] for i in sorted(rng.choice(len(rays), size=k, replace=False))])
-            for k in rng.integers(3, len(rays) + 1, size=60)
+            ks.build_graph([dirs[i] for i in sorted(rng.choice(len(dirs), size=k, replace=False))])
+            for k in rng.integers(3, len(dirs) + 1, size=60)
         ]
         for inst in [*fuzz_instances(), *subsets]:
             first = ks.solve_coloring(inst, mode="first_solution")
@@ -261,8 +256,7 @@ class TestSolver:
                 ks.solve_coloring(ks.build_graph(BASIS), mode=mode)
 
     def test_deterministic_results(self):
-        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        inst = ks.build_graph(rays)
+        inst = direction_graph("peres33")
         a = ks.solve_coloring(inst, mode="first_solution")
         b = ks.solve_coloring(inst, mode="first_solution")
         assert a == b
@@ -355,33 +349,27 @@ class TestSolver:
 
 class TestFixtures:
     def test_peres33_loads_33_rays(self):
-        name, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+        name, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
         assert name == "peres-33"
-        assert len(rays) == 33
+        assert direction_graph("peres33").ray_count == len(dirs) == 33
 
     def test_peres33_graph_structure(self):
-        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        inst = ks.build_graph(rays)
+        inst = direction_graph("peres33")
         assert len(inst.ortho_pairs) == 72
         assert len(inst.tripods) == 16
 
     def test_peres33_unsat(self):
-        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        inst = ks.build_graph(rays)
-        result = ks.solve_coloring(inst, mode="first_solution")
+        result = ks.solve_coloring(direction_graph("peres33"), mode="first_solution")
         assert result.verdict == "UNSAT"
         assert result.nodes_explored > 0
 
     def test_peres33_dpll_agrees(self):
-        _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
-        inst = ks.build_graph(rays)
-        sat, _ = cc.dpll_solve(inst)
+        sat, _ = cc.dpll_solve(direction_graph("peres33"))
         assert not sat
 
     def test_integer49_unsat_both_ways(self):
-        _, rays = formats.load_ray_file(formats.fixture_path("integer49_rays.json"))
-        assert len(rays) == 49
-        inst = ks.build_graph(rays)
+        inst = direction_graph("integer49")
+        assert inst.ray_count == 49
         assert ks.solve_coloring(inst).verdict == "UNSAT"
         sat, _ = cc.dpll_solve(inst)
         assert not sat

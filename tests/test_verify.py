@@ -44,12 +44,12 @@ def check_sat_recheck_independence():
     """SAT answers of the first-solution mode pass the independent
     constraint checker."""
     rng = np.random.default_rng(verify.SEED + 12)
-    _, rays = formats.load_ray_file(formats.fixture_path("peres33_rays.json"))
+    _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
     checked = 0
     for _ in range(40):
         k = int(rng.integers(3, 14))
-        idx = rng.choice(len(rays), size=k, replace=False)
-        instance = ks_solver.build_graph([rays[i] for i in sorted(idx)])
+        idx = rng.choice(len(dirs), size=k, replace=False)
+        instance = ks_solver.build_graph([dirs[i] for i in sorted(idx)])
         result = ks_solver.solve_coloring(instance)
         if result.is_sat:
             ok, violations = crosscheck.check_coloring(instance, result.coloring)
