@@ -43,36 +43,33 @@ def ray_key(v: np.ndarray) -> tuple:
     return tuple(np.round(v, 9))
 
 
+def unique_rays(vectors) -> list[np.ndarray]:
+    """One unit representative per ray among the nonzero ``vectors`` (the
+    first one met), sorted by ``ray_key``."""
+    seen = {}
+    for v in map(np.array, vectors):
+        if np.linalg.norm(v) >= 1e-12:
+            seen.setdefault(ray_key(v), v / np.linalg.norm(v))
+    return [seen[k] for k in sorted(seen)]
+
+
 def all_rays_with_components(values: list[float]) -> list[np.ndarray]:
     """Every ray with all three components in ``values`` (plus-minus),
     excluding the zero vector, one representative each, in a stable order."""
-    seen = {}
     signed = sorted({s * v for v in values for s in (1.0, -1.0)})
-    for comps in itertools.product(signed, repeat=3):
-        v = np.array(comps)
-        if np.linalg.norm(v) < 1e-12:
-            continue
-        key = ray_key(v)
-        if key not in seen:
-            seen[key] = v / np.linalg.norm(v)
-    return [seen[k] for k in sorted(seen)]
+    return unique_rays(itertools.product(signed, repeat=3))
 
 
 def peres_rays() -> list[np.ndarray]:
     """The 33 rays generated from (0,0,1), (0,1,1), (0,1,s2), (1,1,s2)."""
     s2 = np.sqrt(2.0)
     seeds = [(0, 0, 1), (0, 1, 1), (0, 1, s2), (1, 1, s2)]
-    seen = {}
-    for seed in seeds:
-        for perm in itertools.permutations(seed):
-            for signs in itertools.product((1.0, -1.0), repeat=3):
-                v = np.array([s * c for s, c in zip(signs, perm)])
-                if np.linalg.norm(v) < 1e-12:
-                    continue
-                key = ray_key(v)
-                if key not in seen:
-                    seen[key] = v / np.linalg.norm(v)
-    return [seen[k] for k in sorted(seen)]
+    return unique_rays(
+        [s * c for s, c in zip(signs, perm)]
+        for seed in seeds
+        for perm in itertools.permutations(seed)
+        for signs in itertools.product((1.0, -1.0), repeat=3)
+    )
 
 
 def main() -> None:

@@ -73,10 +73,13 @@ def _parse_state(text: str) -> np.ndarray:
         raise ValueError(f"--state expects three comma-separated amplitudes, got {text!r}")
     amplitudes = []
     for part in parts:
-        try:
-            amplitudes.append(complex(part.strip().replace("i", "j")))
+        amp = part.strip()
+        try:  # a trailing i is the imaginary unit; the i of "inf" is not
+            amplitudes.append(complex(amp[:-1] + "j" if amp.endswith("i") else amp))
         except ValueError:
             raise ValueError(f"--state amplitude {part!r} is not a number") from None
+        if not np.isfinite(amplitudes[-1]):
+            raise ValueError(f"--state amplitude {part!r} is not finite")
     v = np.array(amplitudes)
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
@@ -105,9 +108,12 @@ def _model(args):
 def _quadrature(args) -> QuadratureSpec:
     if not args.quadrature:
         return QuadratureSpec()
-    nt, np_ = _parse_pair(args.quadrature, "--quadrature")
     try:
-        return QuadratureSpec(int(nt), int(np_))
+        nt, np_ = map(int, args.quadrature.split(","))
+    except ValueError:
+        raise ValueError(f"--quadrature: expects two comma-separated integers, got {args.quadrature!r}") from None
+    try:
+        return QuadratureSpec(nt, np_)
     except ValueError as exc:
         raise ValueError(f"--quadrature: {exc}") from None
 
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="state amplitudes, e.g. 0,1,0 or 0.5+0.5j,0,0.707")
         p.add_argument("--profile", help="tabulated axial profile file (overrides --epsilon model)")
         if quadrature:
-            p.add_argument("--quadrature", metavar="NT,NP", help="quadrature node counts")
+            p.add_argument("--quadrature", metavar="NT,NP", help="quadrature node counts (positive integers)")
         p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
         p.add_argument("--output", help="also write a JSON report to this path")
 

@@ -12,9 +12,9 @@ Profile files (tabulated axial density)::
 
 evaluated by linear interpolation on [0, epsilon], which the thetas must span.
 
-Each row of numbers is read by one parser, ``_number_rows``: a row must
-be a list of finite numbers (a boolean is not a number), and an error
-names the row as ``key[k]``.
+Every number, ``epsilon`` included, is read by one parser, ``_number_rows``:
+a row must be a list of finite numbers (a boolean is not a number), and an
+error names the row as ``key[k]`` (``epsilon`` as ``profile file['epsilon']``).
 
 Ray-set files, ``{ "name": str, "field": "real", "rays": [[x, y, z], ...] }``,
 are read only by the benchmark: the two bundled ones hold the rows of the
@@ -136,10 +136,7 @@ def load_profile_file(path) -> AxialDensity:
     """Build an axial misalignment model from a tabulated (theta, weight)
     file, linearly interpolated."""
     doc = _load_object(path, "profile")
-    try:
-        epsilon = float(doc["epsilon"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("profile file: 'epsilon' must be a number") from None
+    ((epsilon,),) = _number_rows([[doc.get("epsilon")]], ("epsilon",), "profile file", ["'epsilon'"])
     table = doc.get("profile")
     if not isinstance(table, list) or len(table) < 2:
         raise ValueError("profile file: 'profile' must list at least 2 [theta, weight] rows")

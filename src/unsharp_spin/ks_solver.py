@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .crosscheck import check_coloring
-from .spin_core import UNIT_TOL, canonical_phase, eigenvector_rows
+from .spin_core import as_unit_directions, canonical_phase, eigenvector_rows
 from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
@@ -59,8 +59,8 @@ def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
     Rays are kept in order of first occurrence; two vectors are the same
     ray when their overlap magnitude is at least 1 - 1e-9, and a vector
     is dropped only when it is the same ray as an earlier *kept* one
-    (so in a chain a≈b, b≈c with a≉c, b is dropped and c kept).  Zero
-    vectors are rejected.
+    (so in a chain a≈b, b≈c with a≉c, b is dropped and c kept).
+    ``canonical_phase`` rejects a zero vector and names its row.
 
     Overlaps come from |R Rᴴ| in blocks of ``OVERLAP_BLOCK_ROWS`` rows, so
     at most ``OVERLAP_BLOCK_ROWS * n`` overlaps are held at a time for n
@@ -72,8 +72,6 @@ def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
     stack = np.asarray(vectors, dtype=complex)
     if stack.ndim != 2 or stack.shape[1] != 3:
         raise ValueError(f"rays must be 3-vectors, got an array of shape {stack.shape}")
-    if len(zero := np.flatnonzero(np.linalg.norm(stack, axis=1) < 1e-12)):
-        raise ValueError(f"rays[{zero[0]}] is a zero vector")
     canonical = canonical_phase(stack)
     near_duplicates_of: dict[int, list[int]] = {}
     for start, block in _overlap_blocks(canonical):
@@ -127,19 +125,6 @@ def build_graph(rays) -> KsInstance:
     return KsInstance(len(rays), tuple(pairs), tuple(tripods))
 
 
-def _unit_directions(directions) -> np.ndarray:
-    """``directions`` as an (N, 3) array whose rows pass ``as_unit_vector``."""
-    units = np.asarray(directions, dtype=float)
-    if units.ndim != 2 or units.shape[1] != 3 or len(units) == 0:
-        raise ValueError(f"directions must be a non-empty list of 3-vectors, got shape {units.shape}")
-    if not np.all(np.isfinite(units)):
-        raise ValueError("directions have non-finite components")
-    excess = (units[:, None, :] @ units[:, :, None])[:, 0, 0] - 1.0
-    if len(bad := np.flatnonzero(np.abs(excess) > UNIT_TOL)):
-        raise ValueError(f"directions[{bad[0]}] must be a unit vector (|n|^2 - 1 = {excess[bad[0]]:.3e})")
-    return units
-
-
 def eigenray_set(directions) -> list[np.ndarray]:
     """Shared eigenrays of the (sharp and unsharp) observables of a
     direction set, canonicalized and deduplicated: ``ks_pipeline``'s oracle.
@@ -154,7 +139,7 @@ def eigenray_set(directions) -> list[np.ndarray]:
     eigenbasis; there ``ks_pipeline``, which keeps both, is the reference.
     """
     # rows (+1, 0, -1) per direction, in direction order
-    vectors = np.stack(eigenvector_rows(_unit_directions(directions)), axis=1).reshape(-1, 3)
+    vectors = np.stack(eigenvector_rows(as_unit_directions(directions)), axis=1).reshape(-1, 3)
     return canonicalize_and_dedupe(vectors)
 
 
@@ -487,7 +472,7 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
     is the eigenray instance, of 3N' rays, 3N' + E pairs and N' + T
     tripods for N' directions, E orthogonal pairs and T orthogonal triads.
     """
-    units = _unit_directions(directions)
+    units = as_unit_directions(directions)
     alphas = alphas_for_model(model)
     ok, margins = condition2_check(alphas, delta)
     counts, result, conclusion = (0, 0, 0), None, CONDITION2_FAILED

@@ -83,8 +83,9 @@ class _AxialModel:
     """Density supported on the cap of half-angle ``epsilon`` about the
     axis and depending only on the angle from it.
 
-    Subclasses supply ``density_polar(theta)``, the density per steradian
-    as a function of that angle.
+    ``density_polar`` is 0 off the support; on it, it is the subclass's
+    ``_support_density(theta)``, the density per steradian as a function
+    of that angle.
     """
 
     def __init__(self, epsilon: float):
@@ -94,6 +95,11 @@ class _AxialModel:
     def support_u(self) -> tuple[float, float]:
         """Support of the density in u = cos(angle from axis)."""
         return self._cos_eps, 1.0
+
+    def density_polar(self, theta) -> np.ndarray:
+        """Density per steradian at the angle ``theta`` from the axis."""
+        theta = np.asarray(theta, dtype=float)
+        return np.where(np.cos(theta) >= self._cos_eps - 1e-15, self._support_density(theta), 0.0)
 
     def density(self, n, m) -> float:
         """Density w_n(m) for intended direction ``n`` at direction ``m``."""
@@ -113,9 +119,8 @@ class UniformCap(_AxialModel):
         super().__init__(epsilon)
         self.area = cap_area(epsilon)
 
-    def density_polar(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return np.where(np.cos(theta) >= self._cos_eps - 1e-15, 1.0 / self.area, 0.0)
+    def _support_density(self, theta) -> float:
+        return 1.0 / self.area
 
     def sample_polar(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (cos_theta, phi) pairs about the axis; uniform on the cap."""
@@ -150,11 +155,8 @@ class AxialDensity(_AxialModel):
             raise ValueError("profile has zero total mass on [0, epsilon]")
         self._norm = 1.0 / mass
 
-    def density_polar(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        inside = np.cos(theta) >= self._cos_eps - 1e-15
-        values = np.where(inside, np.asarray(self.profile(theta), dtype=float), 0.0)
-        return self._norm * values
+    def _support_density(self, theta) -> np.ndarray:
+        return self._norm * np.asarray(self.profile(theta), dtype=float)
 
     def sample_polar(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Inverse-CDF sampling of theta off a dense table, uniform phi."""

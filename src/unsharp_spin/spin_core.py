@@ -41,17 +41,34 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _SX.copy(), _SY.copy(), _SZ.copy()
 
 
+def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
+    """The float array ``v``, one vector or a stack, if each row has finite
+    components and |n.n - 1| <= ``UNIT_TOL``; a stack's error names row k."""
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} {'has' if v.ndim == 1 else 'have'} non-finite components")
+    # v @ v for one vector; the matmul gives each row of a stack the same bits
+    excess = (v @ v if v.ndim == 1 else (v[:, None, :] @ v[:, :, None])[:, 0, 0]) - 1.0
+    if (abs(excess) > UNIT_TOL).any():
+        k = int(np.argmax(abs(excess) > UNIT_TOL))
+        where, e = (name, excess) if v.ndim == 1 else (f"{name}[{k}]", excess[k])
+        raise ValueError(f"{where} must be a unit vector (|n|^2 - 1 = {e:.3e})")
+    return v
+
+
 def as_unit_vector(n, name: str = "direction") -> np.ndarray:
     """Validate and return ``n`` as a float unit 3-vector."""
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite components")
-    nn = float(v @ v)
-    if abs(nn - 1.0) > UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector (|n|^2 - 1 = {nn - 1.0:.3e})")
-    return v.copy()
+    return _check_unit(v, name).copy()
+
+
+def as_unit_directions(directions) -> np.ndarray:
+    """``directions`` as a non-empty (N, 3) float array of unit vectors."""
+    units = np.asarray(directions, dtype=float)
+    if units.ndim != 2 or units.shape[1] != 3 or len(units) == 0:
+        raise ValueError(f"directions must be a non-empty list of 3-vectors, got shape {units.shape}")
+    return _check_unit(units, "directions")
 
 
 def unit_from_polar(theta: float, phi: float) -> np.ndarray:
@@ -84,12 +101,13 @@ def canonical_phase(v) -> np.ndarray:
     ``PHASE_TOL`` becomes real and positive, which makes rays comparable
     across runs.  Each row comes out bit for bit as it would alone: norms
     are the dot products ``np.linalg.norm`` takes of one vector and
-    magnitudes are ``np.hypot``, as scalar ``abs`` (``np.abs`` is not)."""
+    magnitudes are ``np.hypot``, as scalar ``abs`` (``np.abs`` is not).
+    A zero row is an error that names it as ``rays[k]``."""
     v = np.asarray(v, dtype=complex)
     w = v.reshape(-1, v.shape[-1])
     norm = np.sqrt(sum(p[:, None, :] @ p[:, :, None] for p in (w.real, w.imag)))[:, 0]
-    if (norm < 1e-12).any():
-        raise ValueError("cannot canonicalize a zero vector")
+    if len(zero := np.flatnonzero(norm < 1e-12)):
+        raise ValueError(f"rays[{zero[0]}] is a zero vector")
     w = w / norm
     mag = np.hypot(w.real, w.imag)
     # lead: the first component above PHASE_TOL, which every unit row has

@@ -209,17 +209,13 @@ def effects_from_alphas(n, alphas: Alphas) -> EffectTriple:
     """Build the effect triple directly from its eigenvalues.
 
     The effects are diagonal in the sharp eigenbasis of the direction:
-    F(1), F(0), F(-1) carry eigenvalues (a1, a2, a3), (a2, a4, a2) and
-    (a3, a2, a1) on the (+1, 0, -1) eigenrays.  Agrees with ``effects``
-    up to quadrature accuracy.
+    F(i) carries ``alphas.spectrum(i)`` on the (+1, 0, -1) eigenrays.
+    Agrees with ``effects`` up to quadrature accuracy.
     """
     n = as_unit_vector(n, "n")
     p_plus, p_zero, p_minus = sharp_projectors(n).as_tuple()
-    a1, a2, a3, a4 = alphas.as_tuple()
-    f_plus = a1 * p_plus + a2 * p_zero + a3 * p_minus
-    f_zero = a2 * p_plus + a4 * p_zero + a2 * p_minus
-    f_minus = a3 * p_plus + a2 * p_zero + a1 * p_minus
-    return EffectTriple(n, f_plus, f_zero, f_minus)
+    fs = (a * p_plus + b * p_zero + c * p_minus for a, b, c in map(alphas.spectrum, (1, 0, -1)))
+    return EffectTriple(n, *fs)
 
 
 def condition2_check(alphas: Alphas, delta: float) -> tuple[bool, dict[str, float]]:
@@ -266,13 +262,9 @@ def threshold_epsilon(delta: float) -> float:
 
 
 def _pure_state(psi) -> np.ndarray:
-    """Validate a normalized state 3-vector."""
+    """Validate a normalized state 3-vector: its moduli pass ``as_unit_vector``."""
     v = np.asarray(psi, dtype=complex)
-    if v.shape != (3,):
-        raise ValueError(f"state must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"state must be normalized (norm = {norm})")
+    as_unit_vector(np.abs(v), "state")
     return v
 
 

@@ -94,6 +94,14 @@ class TestEffects:
         assert code == 2
         assert err == "error: --quadrature: n_theta must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("text", ["inf,8", "nan,8", "8.7,8", "8"])
+    def test_quadrature_takes_two_integers(self, capsys, text):
+        code, out, err = run_cli(
+            ["effects", "--direction", "0,0", "--epsilon", "0.4", "--quadrature", text], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --quadrature: expects two comma-separated integers, got {text!r}\n"
+
     def test_too_coarse_quadrature_is_an_input_error(self, capsys):
         # effects raises QuadratureError; the CLI reports it like any bad input
         code, _, err = run_cli(
@@ -146,6 +154,14 @@ class TestProbAndSimulate:
         )
         assert code == 2
         assert "trials" in err
+
+    @pytest.mark.parametrize("command", ["prob", "simulate"])
+    @pytest.mark.parametrize("state, bad", [("0,1,nan", "nan"), ("nan,1,0", "nan"), ("inf,0,0", "inf")])
+    def test_rejects_non_finite_state(self, capsys, command, state, bad):
+        argv = [command, "--state", state, "--direction", "0,0", "--epsilon", "0.4"]
+        code, out, err = run_cli(argv + (["--trials", "10"] if command == "simulate" else []), capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --state amplitude {bad!r} is not finite\n"
 
     def test_rejects_malformed_state(self, capsys):
         code, _, err = run_cli(["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"], capsys)
@@ -289,6 +305,14 @@ class TestMisc:
         code, out, err = run_cli(["alphas", "--profile", str(profile)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: --profile: profile file: profile[1] must be [theta, weight] with finite")
+
+    @pytest.mark.parametrize("epsilon", ["true", '"0.4"', "null"], ids=["boolean", "string", "null"])
+    def test_non_numeric_profile_epsilon(self, capsys, tmp_path, epsilon):
+        profile = tmp_path / "prof.json"
+        profile.write_text(f'{{"name": "p", "epsilon": {epsilon}, "profile": [[0, 1], [1, 1]]}}')
+        code, out, err = run_cli(["alphas", "--profile", str(profile)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --profile: profile file['epsilon'] must be [epsilon] with finite")
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

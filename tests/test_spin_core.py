@@ -266,5 +266,5 @@ class TestCanonicalPhase:
             assert row[np.argmax(np.abs(row) > sc.PHASE_TOL)].imag == 0.0
 
     def test_stack_rejects_a_zero_row(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ValueError, match=r"^rays\[1\] is a zero vector$"):
             sc.canonical_phase([[1, 0, 0], [0, 0, 0]])

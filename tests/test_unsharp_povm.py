@@ -283,8 +283,16 @@ class TestProbabilities:
 
     def test_rejects_unnormalized(self):
         triple = up.effects(Z, mis.UniformCap(0.4))
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match=r"^state must be a unit vector"):
             up.outcome_probabilities(np.array([1.0, 1.0, 0.0]), triple)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nan-imag"])
+    def test_rejects_non_finite_state(self, bad):
+        psi = np.array([bad, 1.0, 0.0])
+        with pytest.raises(ValueError, match="^state has non-finite components$"):
+            up.outcome_probabilities(psi, up.effects(Z, mis.UniformCap(0.4)))
+        with pytest.raises(ValueError, match="^state has non-finite components$"):
+            up.simulate_outcomes(psi, Z, mis.UniformCap(0.4), 10, seed=0)
 
 
 class TestSimulation:
