@@ -57,7 +57,6 @@ from .unsharp_povm import (
     AT,
     U,
     Alphas,
-    QuadratureError,
     alphas_axial,
     alphas_for_model,
     alphas_uniform_cap,
@@ -83,7 +82,6 @@ __all__ = [
     "KS_CONTRADICTION",
     "KsInstance",
     "KsReport",
-    "QuadratureError",
     "QuadratureSpec",
     "SolveResult",
     "U",

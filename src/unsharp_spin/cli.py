@@ -20,11 +20,9 @@ import numpy as np
 
 from . import __version__, formats, verify
 from .ks_solver import ks_pipeline
-from .misalignment import QuadratureSpec, UniformCap
+from .misalignment import UniformCap
 from .spin_core import unit_from_polar
 from .unsharp_povm import (
-    EFFECT_TOL,
-    QuadratureError,
     alphas_axial,
     alphas_uniform_cap,
     condition2_check,
@@ -57,16 +55,6 @@ def _matrix_rows(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects two comma-separated numbers, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValueError(f"{flag} has a non-numeric component in {text!r}") from None
-
-
 def _parse_state(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -92,7 +80,15 @@ def _angle(value: float, degrees: bool) -> float:
 
 
 def _direction(args) -> np.ndarray:
-    theta, phi = _parse_pair(args.direction, "--direction")
+    parts = args.direction.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--direction: expects two comma-separated angles, got {args.direction!r}")
+    try:
+        theta, phi = map(float, parts)
+    except ValueError:
+        raise ValueError(f"--direction: non-numeric angle in {args.direction!r}") from None
+    if not np.isfinite([theta, phi]).all():
+        raise ValueError(f"--direction: angles must be finite, got {args.direction!r}")
     return unit_from_polar(_angle(theta, args.degrees), _angle(phi, args.degrees))
 
 
@@ -103,19 +99,6 @@ def _model(args):
         except (OSError, ValueError) as exc:
             raise ValueError(f"--profile: {exc}") from None
     return UniformCap(_angle(args.epsilon, args.degrees))
-
-
-def _quadrature(args) -> QuadratureSpec:
-    if not args.quadrature:
-        return QuadratureSpec()
-    try:
-        nt, np_ = map(int, args.quadrature.split(","))
-    except ValueError:
-        raise ValueError(f"--quadrature: expects two comma-separated integers, got {args.quadrature!r}") from None
-    try:
-        return QuadratureSpec(nt, np_)
-    except ValueError as exc:
-        raise ValueError(f"--quadrature: {exc}") from None
 
 
 def _emit(args, report: dict, out) -> None:
@@ -130,19 +113,17 @@ def _emit(args, report: dict, out) -> None:
 def cmd_effects(args, out) -> int:
     n = _direction(args)
     model = _model(args)
-    spec = _quadrature(args)
-    triple = effects(n, model, spec)
-    residual_identity, eig_min, eig_max, _ = triple.residuals()
+    triple = effects(n, model)
+    residual_identity, eig_min, eig_max = triple.residuals()
     for i in (1, 0, -1):
         _print_matrix(f"effect({_OUTCOME_LABEL[i]})", triple.effect(i), out)
-    # effects raises QuadratureError on a residual above EFFECT_TOL
-    out.write(f"sum-to-identity residual: <= {EFFECT_TOL:g}\n")
+    # the sharp projectors sum to I, so the residual is rounding only
+    out.write("sum-to-identity residual: <= 1e-10\n")
     out.write(f"eigenvalue range: [{_fixed(eig_min)}, {_fixed(eig_max)}]\n")
     report = {
         "command": "effects",
         "direction": [float(x) for x in n],
         "model": model.describe(),
-        "quadrature": {"n_theta": spec.n_theta, "n_phi": spec.n_phi},
         "effects": {
             "plus": _matrix_rows(triple.f_plus),
             "zero": _matrix_rows(triple.f_zero),
@@ -208,7 +189,7 @@ def cmd_prob(args, out) -> int:
     psi = _parse_state(args.state)
     n = _direction(args)
     model = _model(args)
-    triple = effects(n, model, _quadrature(args))
+    triple = effects(n, model)
     p = outcome_probabilities(psi, triple)
     for outcome, value in zip((1, 0, -1), p):
         out.write(f"P(outcome {_OUTCOME_LABEL[outcome]}) = {value:.12g}\n")
@@ -225,11 +206,13 @@ def cmd_prob(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
     psi = _parse_state(args.state)
     n = _direction(args)
     model = _model(args)
     counts = simulate_outcomes(psi, n, model, args.trials, args.seed)
-    probs = outcome_probabilities(psi, effects(n, model, _quadrature(args)))
+    probs = outcome_probabilities(psi, effects(n, model))
     out.write(f"trials = {args.trials}, seed = {args.seed}\n")
     for outcome, c, p in zip((1, 0, -1), counts, probs):
         freq = c / args.trials
@@ -297,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, direction=False, epsilon=False, state=False, quadrature=False):
+    def add_common(p, direction=False, epsilon=False, state=False):
         if direction:
             p.add_argument("--direction", required=True, metavar="THETA,PHI",
                            help="intended direction in polar angles")
@@ -308,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", required=True, metavar="A,B,C",
                            help="state amplitudes, e.g. 0,1,0 or 0.5+0.5j,0,0.707")
         p.add_argument("--profile", help="tabulated axial profile file (overrides --epsilon model)")
-        if quadrature:
-            p.add_argument("--quadrature", metavar="NT,NP", help="quadrature node counts (positive integers)")
         p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
         p.add_argument("--output", help="also write a JSON report to this path")
 
     p = sub.add_parser("effects", help="construct the three unsharp effects")
-    add_common(p, direction=True, epsilon=True, quadrature=True)
+    add_common(p, direction=True, epsilon=True)
     p.set_defaults(func=cmd_effects)
 
     p = sub.add_parser("alphas", help="effect eigenvalues (closed form and quadrature)")
@@ -327,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("prob", help="outcome probabilities for a pure state")
-    add_common(p, direction=True, epsilon=True, state=True, quadrature=True)
+    add_common(p, direction=True, epsilon=True, state=True)
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("simulate", help="stochastic outcome simulation")
-    add_common(p, direction=True, epsilon=True, state=True, quadrature=True)
+    add_common(p, direction=True, epsilon=True, state=True)
     p.add_argument("--trials", type=int, required=True, help="number of trials (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_simulate)
@@ -358,7 +339,7 @@ def main(argv=None) -> int:
     out = io.StringIO()  # stdout only once the whole command has succeeded
     try:
         code = args.func(args, out)
-    except (ValueError, QuadratureError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(out.getvalue())

@@ -134,7 +134,8 @@ def save_direction_file(path, name: str, directions) -> None:
 
 def load_profile_file(path) -> AxialDensity:
     """Build an axial misalignment model from a tabulated (theta, weight)
-    file, linearly interpolated."""
+    file, linearly interpolated; the table's thetas, where the
+    interpolant has kinks, are the model's breakpoints."""
     doc = _load_object(path, "profile")
     ((epsilon,),) = _number_rows([[doc.get("epsilon")]], ("epsilon",), "profile file", ["'epsilon'"])
     table = doc.get("profile")
@@ -152,7 +153,7 @@ def load_profile_file(path) -> AxialDensity:
         return np.interp(theta, thetas, weights)
 
     profile.__name__ = str(doc.get("name", "tabulated"))
-    return AxialDensity(epsilon, profile)
+    return AxialDensity(epsilon, profile, breakpoints=thetas)
 
 
 def dumps_report(report: dict) -> str:

@@ -7,17 +7,18 @@ Axial symmetry makes the density rotation covariant by construction,
 w_n(R m) = w_{R^-1 n}(m), which the downstream effect algebra relies on;
 densities without that symmetry are deliberately not representable.
 
-Integration uses a product rule: Gauss-Legendre in theta restricted to
-the support of the density (restricting to the support removes the
-cap-edge discontinuity and restores fast convergence) times a uniform
-periodic trapezoid in phi, all in ``sphere_integral_matrix``.  The nodes
+Axial integrals (normalization and the effect eigenvalues a1..a4) use one
+1-D rule per model, ``_AxialModel.polar_rule``: Gauss-Legendre in theta
+over the support, split into panels at the model's breakpoints (a
+tabulated profile's thetas, where its interpolant has kinks).  The nodes
 are taken in theta, not cos(theta): a profile with a term linear in theta
 has a square-root kink in cos(theta) at the axis, where Gauss-Legendre in
-cos(theta) converges only algebraically.  An unsharp
-effect F_n(i) is the integral of the projector P_{m,i} against w_n(m);
-since P_{m,i} is quadratic in m.S, it follows from the first and second
-moments of w_n, int w m and int w m m^T, integrated on the grid
-re-poled around n.
+cos(theta) converges only algebraically.
+
+``sphere_integral_matrix`` is a product rule on the sphere, the same
+theta rule restricted to a band times a uniform periodic trapezoid in phi.
+The library's effects do not use it; ``verify`` integrates the effects on
+it as the oracle for their closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .spin_core import as_unit_vector, polar_from_unit, rotation_from_euler
 
-# Node count for the 1-D radial quadratures (normalization constants and
+# Node count per panel of the 1-D axial rule (normalization constants and
 # eigenvalue integrals; sampling uses its own table).  Shared so that
 # normalization and integration use the same rule and their ratio is exact.
 AXIAL_NODES = 256
@@ -71,11 +72,14 @@ def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.nda
     return half * x + 0.5 * (a + b), half * w
 
 
-def _polar_rule(u_lo: float, u_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre in theta over the band u_lo <= cos(theta) <= u_hi,
-    # returned as nodes u = cos(theta) with the Jacobian in the weights,
-    # so that sum(w f(u)) approximates the integral of f over u
-    theta, w = gauss_legendre_nodes(np.arccos(u_hi), np.arccos(u_lo), n)
+def _polar_rule(u_lo: float, u_hi: float, n: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre in theta over the band u_lo <= cos(theta) <= u_hi, n
+    # nodes on each panel between the breakpoints (increasing angles
+    # strictly inside the band), returned as nodes u = cos(theta) with the
+    # Jacobian in the weights, so that sum(w f(u)) approximates the
+    # integral of f over u
+    edges = [np.arccos(u_hi), *breakpoints, np.arccos(u_lo)]
+    theta, w = map(np.concatenate, zip(*(gauss_legendre_nodes(a, b, n) for a, b in zip(edges, edges[1:]))))
     return np.cos(theta), w * np.sin(theta)
 
 
@@ -85,16 +89,26 @@ class _AxialModel:
 
     ``density_polar`` is 0 off the support; on it, it is the subclass's
     ``_support_density(theta)``, the density per steradian as a function
-    of that angle.
+    of that angle.  ``breakpoints`` are angles where that function may
+    have a kink; ``polar_rule`` splits at those inside (0, epsilon).
     """
 
-    def __init__(self, epsilon: float):
+    def __init__(self, epsilon: float, breakpoints=()):
         self.epsilon = check_epsilon(epsilon)
         self._cos_eps = float(np.cos(self.epsilon))
+        top = np.arccos(self._cos_eps)  # the support's end as the rule computes it
+        self._breakpoints = tuple(b for b in sorted(map(float, breakpoints)) if 0.0 < b < top)
 
     def support_u(self) -> tuple[float, float]:
         """Support of the density in u = cos(angle from axis)."""
         return self._cos_eps, 1.0
+
+    def polar_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one rule for axial integrals over the support: nodes u =
+        cos(theta) and weights, Gauss-Legendre in theta with
+        ``AXIAL_NODES`` nodes on each panel between breakpoints, so that
+        sum(w f(u)) approximates the integral of f over u."""
+        return _polar_rule(self._cos_eps, 1.0, AXIAL_NODES, self._breakpoints)
 
     def density_polar(self, theta) -> np.ndarray:
         """Density per steradian at the angle ``theta`` from the axis."""
@@ -138,13 +152,15 @@ class AxialDensity(_AxialModel):
     ``profile`` maps the angle theta in [0, epsilon] to a nonnegative
     weight; it is normalized internally by 1-D quadrature so the density
     integrates to 1 over the sphere.  The profile must be nonnegative on
-    its support and have positive total mass.
+    its support and have positive total mass.  ``breakpoints`` are the
+    angles where the profile may have a kink (a tabulated profile's
+    thetas); the 1-D rule is split there.
     """
 
-    def __init__(self, epsilon: float, profile):
-        super().__init__(epsilon)
+    def __init__(self, epsilon: float, profile, breakpoints=()):
+        super().__init__(epsilon, breakpoints)
         self.profile = profile
-        u, w = _polar_rule(self._cos_eps, 1.0, AXIAL_NODES)
+        u, w = self.polar_rule()
         values = np.asarray(profile(np.arccos(np.clip(u, -1.0, 1.0))), dtype=float)
         if values.shape != u.shape:
             raise ValueError("profile must map angle arrays to same-shape arrays")

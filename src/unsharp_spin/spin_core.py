@@ -178,13 +178,12 @@ class EffectTriple:
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.f_plus, self.f_zero, self.f_minus
 
-    def residuals(self) -> tuple[float, float, float, float]:
-        """Sum-to-identity residual, lowest and highest eigenvalue, and
-        largest pairwise commutator of the three effects."""
+    def residuals(self) -> tuple[float, float, float]:
+        """Sum-to-identity residual and lowest and highest eigenvalue of the
+        three effects."""
         fs = self.as_tuple()
         eigs = np.linalg.eigvalsh(np.stack(fs))
-        comm = max(float(np.max(np.abs(fs[i] @ fs[j] - fs[j] @ fs[i]))) for i, j in ((0, 1), (0, 2), (1, 2)))
-        return float(np.max(np.abs(sum(fs) - np.eye(3)))), float(eigs.min()), float(eigs.max()), comm
+        return float(np.max(np.abs(sum(fs) - np.eye(3)))), float(eigs.min()), float(eigs.max())
 
 
 def sharp_projectors(n) -> EffectTriple:

@@ -3,13 +3,16 @@
 An intended measurement direction n together with a misalignment model
 defines three effects F(i), i in {1, 0, -1}: each is the average of the
 sharp eigenprojectors P_{m,i} over the actually-measured direction m,
-weighted by the misalignment density.  The effects form a commuting POVM
-that shares the eigenbasis of the sharp observable along n; its
-eigenvalues are four model-dependent numbers a1..a4.  This module
-constructs the effects by spherical quadrature, evaluates the eigenvalues
-both by 1-D quadrature and in closed form for the uniform cap, locates
-the unsharpness threshold, and implements outcome probabilities, outcome
-simulation, and the threshold-based AT/AF/U ray coloring.
+weighted by the misalignment density.  For an axially symmetric density
+the effects form a commuting POVM that shares the eigenbasis of the sharp
+observable along n; its eigenvalues are four model-dependent numbers
+a1..a4.  This module evaluates a1..a4 (in closed form for the uniform
+cap, by the model's 1-D axial rule otherwise), builds the effects from
+them and the sharp eigenprojectors of n, locates the unsharpness
+threshold, and implements outcome probabilities, outcome simulation, and
+the threshold-based AT/AF/U ray coloring.  The spherical average itself
+is integrated only in ``verify.sphere_effects``, the oracle that
+establishes this construction.
 """
 
 from __future__ import annotations
@@ -18,38 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .misalignment import (
-    AXIAL_NODES,
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    UniformCap,
-    _polar_rule,
-    check_epsilon,
-    points_about_axis,
-    sphere_integral_matrix,
-)
+from .misalignment import UniformCap, check_epsilon, points_about_axis
 from .spin_core import (
     EffectTriple,
     as_unit_vector,
     eigenvector_rows,
     sharp_eigenvectors,
     sharp_projectors,
-    spin_matrices,
 )
 
 AT = "AT"
 AF = "AF"
 U = "U"
-
-EFFECT_TOL = 1e-10  # bound on each effect-triple invariant
-
-_S = np.stack(spin_matrices())  # (3, 3, 3): component a, row, column
-
-
-class QuadratureError(RuntimeError):
-    """Raised when a quadrature spec is too coarse to meet the effect
-    invariants (resolution of identity, positivity, commutation)."""
-
 
 def check_delta(delta: float) -> float:
     """Validate an unsharpness tolerance, 0 <= delta < 0.5."""
@@ -94,81 +77,14 @@ class Alphas:
         }[outcome]
 
 
-def _validate_triple(triple: EffectTriple, spec: QuadratureSpec) -> None:
-    identity_residual, eig_low, eig_high, comm = triple.residuals()
-    problems = []
-    if identity_residual > EFFECT_TOL:
-        problems.append(f"sum-to-identity residual {identity_residual:.3e}")
-    if eig_low < -EFFECT_TOL or eig_high > 1.0 + EFFECT_TOL:
-        problems.append(f"eigenvalue range [{eig_low:.3e}, {eig_high:.3e}]")
-    if comm > EFFECT_TOL:
-        problems.append(f"pairwise commutator {comm:.3e}")
-    if problems:
-        raise QuadratureError(
-            f"quadrature spec (n_theta={spec.n_theta}, n_phi={spec.n_phi}) too "
-            "coarse for effect invariants: " + "; ".join(problems)
-        )
-
-
-def effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple:
-    """Construct the unsharp effect triple for direction ``n``.
-
-    Each effect is the average of the sharp projector P_{m,i} against the
-    misalignment density w_n(m).  Since m.S has eigenvalues {1, 0, -1},
-    P_{m,+1} = ((m.S)^2 + m.S)/2, P_{m,0} = I - (m.S)^2 and
-    P_{m,-1} = ((m.S)^2 - m.S)/2, so one ``sphere_integral_matrix`` call
-    integrates only the first and second moments mu = int w m and
-    M = int w m m^T, and the effects follow exactly from
-    int w m.S = sum_a mu_a S_a, int w (m.S)^2 = sum_ab M_ab S_a S_b and the
-    mass tr M.  The grid is re-poled around ``n`` and restricted to the
-    density's support, where the moments are low-degree trigonometric
-    polynomials; the default spec is therefore exact to rounding for the
-    uniform cap.
-
-    Raises QuadratureError if the spec is too coarse to meet the triple's
-    invariants.
-
-    Parameters
-    ----------
-    n : array_like
-        Intended unit direction.
-    model : UniformCap or AxialDensity
-        Misalignment density about ``n``.
-    spec : QuadratureSpec, optional
-        Node counts for the product quadrature.
-    """
-    n = as_unit_vector(n, "n")
-
-    def moments(m):
-        # (N, 4, 3): row 0 is m, rows 1-3 are m m^T; built node-last, so
-        # each product runs over contiguous memory
-        x = np.ones((4, len(m)))
-        x[1:] = m.T
-        return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
-
-    def density(m):
-        return model.density_polar(np.arccos(np.clip(m @ n, -1.0, 1.0)))
-
-    moment = sphere_integral_matrix(moments, density, spec, axis=n, u_range=model.support_u())
-    mu, big_m = moment[0], moment[1:]
-    linear = np.tensordot(mu, _S, axes=1)  # int w m.S
-    square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=0)  # int w (m.S)^2
-    fs = np.stack([(square + linear) / 2.0, np.trace(big_m) * np.eye(3) - square, (square - linear) / 2.0])
-    fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))
-    triple = EffectTriple(n, fs[0], fs[1], fs[2])
-    _validate_triple(triple, spec)
-    return triple
-
-
 def alphas_axial(model) -> Alphas:
     """Effect eigenvalues of an axially symmetric model by 1-D quadrature.
 
     Integrates the density against the four polar weight functions
     cos^4(theta/2), sin^2(theta)/2, sin^4(theta/2) and cos^2(theta) over
-    the support of the density.
+    the support of the density, on the model's ``polar_rule``.
     """
-    u_lo, u_hi = model.support_u()
-    u, w = _polar_rule(u_lo, u_hi, AXIAL_NODES)
+    u, w = model.polar_rule()
     theta = np.arccos(np.clip(u, -1.0, 1.0))
     density = model.density_polar(theta)
     base = 2.0 * np.pi * w * density
@@ -205,12 +121,25 @@ def alphas_for_model(model) -> Alphas:
     return alphas_axial(model)
 
 
+def effects(n, model) -> EffectTriple:
+    """The unsharp effect triple for direction ``n`` under ``model``.
+
+    Averaging the sharp projectors P_{m,i} against an axially symmetric
+    density about ``n`` gives effects diagonal in the sharp eigenbasis of
+    ``n``, with eigenvalues ``alphas_for_model(model)``; see
+    ``effects_from_alphas``.
+    """
+    return effects_from_alphas(n, alphas_for_model(model))
+
+
 def effects_from_alphas(n, alphas: Alphas) -> EffectTriple:
     """Build the effect triple directly from its eigenvalues.
 
     The effects are diagonal in the sharp eigenbasis of the direction:
     F(i) carries ``alphas.spectrum(i)`` on the (+1, 0, -1) eigenrays.
-    Agrees with ``effects`` up to quadrature accuracy.
+    They sum to the identity and lie between 0 and 1 by construction: the
+    sharp projectors sum to I, and ``Alphas`` checks that each spectrum
+    lies in [0, 1] and sums to 1.
     """
     n = as_unit_vector(n, "n")
     p_plus, p_zero, p_minus = sharp_projectors(n).as_tuple()

@@ -6,6 +6,10 @@ triple (one sweep checks resolution of identity, positivity, the shared
 eigenbasis, spectra and rotation covariance), eigenvalue closed forms,
 simulator consistency, the eigenray overlap laws (and the direction-graph
 pipeline against the eigenray instance), and solver/oracle agreement.
+The effect checks run on ``sphere_effects``, the spherical average of the
+sharp projectors integrated on a product grid; it is the oracle that
+establishes ``unsharp_povm.effects``, which builds the same triple from
+a1..a4, and nothing outside this module and the tests calls it.
 The KS checks read the bundled direction sets (``peres33_directions.json``
 and ``integer49_directions.json``) and search their orthogonality graphs.
 Used by ``unsharp-spin verify``; any failure makes it exit nonzero.
@@ -18,14 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import crosscheck, formats, ks_solver
-from .misalignment import AxialDensity, QuadratureSpec, UniformCap, sphere_integral_matrix
+from .misalignment import DEFAULT_QUADRATURE, AxialDensity, QuadratureSpec, UniformCap, sphere_integral_matrix
 from .spin_core import (
+    EffectTriple,
+    as_unit_vector,
     random_rotation,
     random_unit_vector,
     sharp_eigenvectors,
     sharp_projectors,
     spin1_representation,
     spin_along,
+    spin_matrices,
     wigner_d1,
 )
 from .unsharp_povm import (
@@ -43,6 +50,8 @@ EPS_GRID = (0.1, 0.459, 1.0, np.pi)
 # smallest cap half-angle the random effect checks draw
 EPS_MIN = 0.02
 
+_S = np.stack(spin_matrices())  # (3, 3, 3): component a, row, column
+
 
 def _cap_profile(theta):
     return np.cos(theta / 2.0) ** 2
@@ -50,7 +59,7 @@ def _cap_profile(theta):
 
 def check_projector_triples():
     """Idempotence, mutual orthogonality, completeness, spectral sum, and
-    P_+ + P_- = (n.S)^2, the identity ``effects`` integrates by."""
+    P_+ + P_- = (n.S)^2, the identity ``sphere_effects`` integrates by."""
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(100):
@@ -117,13 +126,51 @@ def check_density_normalization():
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 
 
+def sphere_effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple:
+    """The effect triple for direction ``n`` by spherical quadrature: the
+    oracle for ``unsharp_povm.effects``.
+
+    Each effect is the average of the sharp projector P_{m,i} against the
+    misalignment density w_n(m).  Since m.S has eigenvalues {1, 0, -1},
+    P_{m,+1} = ((m.S)^2 + m.S)/2, P_{m,0} = I - (m.S)^2 and
+    P_{m,-1} = ((m.S)^2 - m.S)/2, so one ``sphere_integral_matrix`` call
+    integrates only the first and second moments mu = int w m and
+    M = int w m m^T, and the effects follow exactly from
+    int w m.S = sum_a mu_a S_a, int w (m.S)^2 = sum_ab M_ab S_a S_b and the
+    mass tr M.  The grid is re-poled around ``n`` and restricted to the
+    density's support, where the moments are low-degree trigonometric
+    polynomials; the default spec is therefore exact to rounding for the
+    uniform cap.  Nothing here assumes the triple is diagonal in the sharp
+    eigenbasis, so the checks that find it so establish the closed form.
+    """
+    n = as_unit_vector(n, "n")
+
+    def moments(m):
+        # (N, 4, 3): row 0 is m, rows 1-3 are m m^T; built node-last, so
+        # each product runs over contiguous memory
+        x = np.ones((4, len(m)))
+        x[1:] = m.T
+        return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
+
+    def density(m):
+        return model.density_polar(np.arccos(np.clip(m @ n, -1.0, 1.0)))
+
+    moment = sphere_integral_matrix(moments, density, spec, axis=n, u_range=model.support_u())
+    mu, big_m = moment[0], moment[1:]
+    linear = np.tensordot(mu, _S, axes=1)  # int w m.S
+    square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=0)  # int w (m.S)^2
+    fs = np.stack([(square + linear) / 2.0, np.trace(big_m) * np.eye(3) - square, (square - linear) / 2.0])
+    fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))
+    return EffectTriple(n, fs[0], fs[1], fs[2])
+
+
 def check_quadrature_stability():
     """Doubling node counts does not move the effect integrals."""
     worst = 0.0
     for eps in (0.1, 0.459, 1.0):
         model = UniformCap(eps)
-        coarse = effects(np.array([0.0, 0.0, 1.0]), model, QuadratureSpec(64, 64))
-        fine = effects(np.array([0.0, 0.0, 1.0]), model, QuadratureSpec(128, 128))
+        coarse = sphere_effects(np.array([0.0, 0.0, 1.0]), model, QuadratureSpec(64, 64))
+        fine = sphere_effects(np.array([0.0, 0.0, 1.0]), model, QuadratureSpec(128, 128))
         for i in (1, 0, -1):
             worst = max(worst, float(np.max(np.abs(coarse.effect(i) - fine.effect(i)))))
     return worst <= 1e-8, f"max change {worst:.3e} (tol 1e-8)"
@@ -199,7 +246,7 @@ def effect_triple_residuals() -> dict[str, float]:
         eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
         r = random_rotation(rng)
         model, alphas, d = UniformCap(eps), alphas_uniform_cap(eps), wigner_d1(r)
-        t1, t2 = effects(n, model), effects(r.T @ n, model)
+        t1, t2 = sphere_effects(n, model), sphere_effects(r.T @ n, model)
         cov = max(float(np.linalg.norm(d @ t1.effect(i) @ d.conj().T - t2.effect(i))) for i in (1, 0, -1))
         for triple in (t1, t2):
             worst = np.maximum(worst, (*_triple_residuals(triple, alphas), cov))

@@ -60,10 +60,10 @@ def test_criterion_02_closed_form_vs_quadrature():
             axial = np.array(up.alphas_axial(mis.UniformCap(eps)).as_tuple())
             assert float(np.max(np.abs(closed - axial))) <= 1e-10
             for n in (Z, sc.unit_from_polar(1.1, 0.7)):
-                full = up.effects(n, mis.UniformCap(eps))
-                rebuilt = up.effects_from_alphas(n, up.alphas_uniform_cap(eps))
+                full = verify.sphere_effects(n, mis.UniformCap(eps))
+                closed = up.effects(n, mis.UniformCap(eps))
                 for i in (1, 0, -1):
-                    assert float(np.max(np.abs(full.effect(i) - rebuilt.effect(i)))) <= 1e-8
+                    assert float(np.max(np.abs(full.effect(i) - closed.effect(i)))) <= 1e-8
         assert time.perf_counter() - start < 10.0
 
 

@@ -62,10 +62,21 @@ class TestAlphas:
         with pytest.raises(SystemExit):
             cli.main(["alphas"])
 
-    def test_rejects_quadrature(self, capsys):
-        # alphas uses the 1-D axial rule; a product-rule size has no effect
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alphas"],
+            ["effects", "--direction", "0,0"],
+            ["prob", "--direction", "0,0", "--state", "0,1,0"],
+            ["simulate", "--direction", "0,0", "--state", "0,1,0", "--trials", "10"],
+        ],
+        ids=["alphas", "effects", "prob", "simulate"],
+    )
+    def test_rejects_quadrature(self, capsys, argv):
+        # effects come from a1..a4 and alphas from the 1-D axial rule; no
+        # command takes a product-rule size
         with pytest.raises(SystemExit) as exc:
-            cli.main(["alphas", "--epsilon", "0.4", "--quadrature", "8,8"])
+            cli.main(argv + ["--epsilon", "0.4", "--quadrature", "8,8"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --quadrature" in capsys.readouterr().err
 
@@ -87,36 +98,16 @@ class TestEffects:
         assert code == 2
         assert "epsilon" in err
 
-    def test_rejects_bad_quadrature(self, capsys):
-        code, _, err = run_cli(
-            ["effects", "--direction", "0,0", "--epsilon", "0.4", "--quadrature", "0,4"], capsys
-        )
-        assert code == 2
-        assert err == "error: --quadrature: n_theta must be >= 1, got 0\n"
-
-    @pytest.mark.parametrize("text", ["inf,8", "nan,8", "8.7,8", "8"])
-    def test_quadrature_takes_two_integers(self, capsys, text):
-        code, out, err = run_cli(
-            ["effects", "--direction", "0,0", "--epsilon", "0.4", "--quadrature", text], capsys
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: --quadrature: expects two comma-separated integers, got {text!r}\n"
-
-    def test_too_coarse_quadrature_is_an_input_error(self, capsys):
-        # effects raises QuadratureError; the CLI reports it like any bad input
-        code, _, err = run_cli(
-            ["effects", "--direction", "0,0", "--epsilon", "0.4", "--quadrature", "2,2"], capsys
-        )
-        assert code == 2
-        assert err.startswith("error: quadrature spec (n_theta=2, n_phi=2) too coarse")
-        assert "Traceback" not in err
-
-    def test_custom_quadrature(self, capsys):
-        code, out, _ = run_cli(
-            ["effects", "--direction", "0.7,1.3", "--epsilon", "0.4", "--quadrature", "32,32"],
-            capsys,
-        )
-        assert code == 0
+    @pytest.mark.parametrize("command", ["effects", "prob", "simulate"])
+    def test_kinked_profile_table(self, capsys, tmp_path, command):
+        # an interior table node is a kink of the interpolated profile
+        profile = tmp_path / "kinked.json"
+        profile.write_text(json.dumps({"epsilon": 0.4, "profile": [[0, 1], [0.2, 0.5], [0.4, 1]]}))
+        argv = [command, "--direction", "0.7,1.3", "--profile", str(profile)]
+        extra = {"effects": [], "prob": ["--state", "0,1,0"], "simulate": ["--state", "0,1,0", "--trials", "100"]}
+        code, out, err = run_cli(argv + extra[command], capsys)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestProbAndSimulate:
@@ -162,6 +153,23 @@ class TestProbAndSimulate:
         code, out, err = run_cli(argv + (["--trials", "10"] if command == "simulate" else []), capsys)
         assert (code, out) == (2, "")
         assert err == f"error: --state amplitude {bad!r} is not finite\n"
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["prob", "--direction", "inf,0"], "error: --direction: angles must be finite, got 'inf,0'\n"),
+            (["prob", "--direction", "0,nan"], "error: --direction: angles must be finite, got '0,nan'\n"),
+            (["simulate", "--direction", "inf,0", "--trials", "10"],
+             "error: --direction: angles must be finite, got 'inf,0'\n"),
+            (["simulate", "--direction", "0,0", "--trials", "10", "--seed", "-5"],
+             "error: --seed: must be a non-negative integer, got -5\n"),
+        ],
+        ids=["prob-inf-theta", "prob-nan-phi", "simulate-inf-theta", "simulate-negative-seed"],
+    )
+    def test_input_error_names_its_flag(self, capsys, argv, err):
+        code, out, got = run_cli(argv + ["--state", "0,1,0", "--epsilon", "0.4"], capsys)
+        assert (code, out, got) == (2, "", err)
 
     def test_rejects_malformed_state(self, capsys):
         code, _, err = run_cli(["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"], capsys)

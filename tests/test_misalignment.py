@@ -96,6 +96,16 @@ class TestAxialDensity:
         model = mis.AxialDensity(0.4, cos2_profile)
         assert model.density([0, 0, 1], sc.unit_from_polar(0.8, 0.1)) == 0.0
 
+    def test_polar_rule_splits_only_inside_support(self):
+        # breakpoints at or beyond the support's ends leave the one-panel
+        # rule bit for bit; each interior one adds a panel
+        plain = mis.AxialDensity(0.4, cos2_profile).polar_rule()
+        ends = mis.AxialDensity(0.4, cos2_profile, breakpoints=[0.0, 0.4, 0.7]).polar_rule()
+        split = mis.AxialDensity(0.4, cos2_profile, breakpoints=[0.0, 0.2, 0.4]).polar_rule()
+        assert all(np.array_equal(a, b) for a, b in zip(plain, ends))
+        assert len(split[0]) == 2 * mis.AXIAL_NODES
+        assert abs(split[1].sum() - (1.0 - np.cos(0.4))) < 1e-15
+
 
 class TestSphereIntegralMatrix:
     def test_identity_times_area(self):
