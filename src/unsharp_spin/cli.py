@@ -2,16 +2,19 @@
 
 Subcommands: ``effects``, ``alphas``, ``threshold``, ``prob``,
 ``simulate``, ``ks-check``, ``verify``.  Angles are radians unless
-``--degrees`` is given.  Every command prints a human-readable summary
+``--degrees`` is given.  Commands that take a misalignment model take
+exactly one of ``--epsilon`` (a uniform cap) and ``--profile`` (a
+tabulated axial profile).  Every command prints a human-readable summary
 and, with ``--output PATH``, writes the same results as a JSON report
 with stable key order; identical invocations produce byte-identical
-output.  Input errors print ``error: ...`` to stderr, nothing to stdout,
-and exit with status 2.
+output.  Input errors print ``error: ...`` to stderr, naming the flag or
+file they came from, nothing to stdout, and exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
 from dataclasses import asdict
@@ -25,6 +28,7 @@ from .spin_core import unit_from_polar
 from .unsharp_povm import (
     alphas_axial,
     alphas_uniform_cap,
+    check_delta,
     condition2_check,
     effects,
     outcome_probabilities,
@@ -75,6 +79,15 @@ def _parse_state(text: str) -> np.ndarray:
     return v / norm
 
 
+@contextlib.contextmanager
+def _flag(label: str):
+    # an input error raised inside names the flag (or file) it came from
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
 def _angle(value: float, degrees: bool) -> float:
     return float(np.radians(value)) if degrees else float(value)
 
@@ -93,20 +106,17 @@ def _direction(args) -> np.ndarray:
 
 
 def _model(args):
-    if getattr(args, "profile", None):
-        try:
+    if args.profile is not None:
+        with _flag("--profile"):
             return formats.load_profile_file(args.profile)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"--profile: {exc}") from None
-    return UniformCap(_angle(args.epsilon, args.degrees))
+    with _flag(f"--epsilon {args.epsilon!r} --degrees" if args.degrees else "--epsilon"):
+        return UniformCap(_angle(args.epsilon, args.degrees))
 
 
 def _emit(args, report: dict, out) -> None:
     if args.output:
-        try:
+        with _flag("--output"):
             formats.write_report(args.output, report)
-        except OSError as exc:
-            raise ValueError(f"--output: {exc}") from None
         out.write(f"report written to {args.output}\n")
 
 
@@ -168,7 +178,8 @@ def cmd_alphas(args, out) -> int:
 
 def cmd_threshold(args, out) -> int:
     delta = args.delta
-    eps = threshold_epsilon(delta)
+    with _flag("--delta"):
+        eps = threshold_epsilon(delta)
     degrees = float(np.degrees(eps))
     out.write(f"epsilon* = {eps:.3f} rad = {degrees:.1f} deg\n")
     out.write(f"full precision: {eps!r} rad\n")
@@ -192,7 +203,7 @@ def cmd_prob(args, out) -> int:
     triple = effects(n, model)
     p = outcome_probabilities(psi, triple)
     for outcome, value in zip((1, 0, -1), p):
-        out.write(f"P(outcome {_OUTCOME_LABEL[outcome]}) = {value:.12g}\n")
+        out.write(f"P(outcome {_OUTCOME_LABEL[outcome]}) = {_fixed(value)}\n")
     out.write(f"sum = {sum(p):.12g}\n")
     report = {
         "command": "prob",
@@ -211,7 +222,8 @@ def cmd_simulate(args, out) -> int:
     psi = _parse_state(args.state)
     n = _direction(args)
     model = _model(args)
-    counts = simulate_outcomes(psi, n, model, args.trials, args.seed)
+    with _flag("--trials"):
+        counts = simulate_outcomes(psi, n, model, args.trials, args.seed)
     probs = outcome_probabilities(psi, effects(n, model))
     out.write(f"trials = {args.trials}, seed = {args.seed}\n")
     for outcome, c, p in zip((1, 0, -1), counts, probs):
@@ -236,11 +248,11 @@ def cmd_simulate(args, out) -> int:
 
 
 def cmd_ks_check(args, out) -> int:
-    try:
+    with _flag("--directions"):
         name, directions = formats.load_direction_file(args.directions)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"--directions: {exc}") from None
     model = _model(args)
+    with _flag("--delta"):
+        check_delta(args.delta)
     report = ks_pipeline(directions, model, args.delta, name=name)
     out.write(f"direction set: {name} ({len(directions)} directions)\n")
     out.write(f"model: {report.model_description}, delta = {args.delta}\n")
@@ -280,26 +292,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, direction=False, epsilon=False, state=False):
+    def add_common(p, direction=False, state=False):
         if direction:
             p.add_argument("--direction", required=True, metavar="THETA,PHI",
                            help="intended direction in polar angles")
-        if epsilon:
-            p.add_argument("--epsilon", type=float, required=False,
-                           help="uniform-cap half-angle (radians unless --degrees)")
         if state:
             p.add_argument("--state", required=True, metavar="A,B,C",
                            help="state amplitudes, e.g. 0,1,0 or 0.5+0.5j,0,0.707")
-        p.add_argument("--profile", help="tabulated axial profile file (overrides --epsilon model)")
+        model = p.add_mutually_exclusive_group(required=True)
+        model.add_argument("--epsilon", type=float,
+                           help="uniform-cap half-angle (radians unless --degrees)")
+        model.add_argument("--profile", help="tabulated axial profile file")
         p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
         p.add_argument("--output", help="also write a JSON report to this path")
 
     p = sub.add_parser("effects", help="construct the three unsharp effects")
-    add_common(p, direction=True, epsilon=True)
+    add_common(p, direction=True)
     p.set_defaults(func=cmd_effects)
 
     p = sub.add_parser("alphas", help="effect eigenvalues (closed form and quadrature)")
-    add_common(p, epsilon=True)
+    add_common(p)
     p.set_defaults(func=cmd_alphas)
 
     p = sub.add_parser("threshold", help="largest cap half-angle passing the separation condition")
@@ -308,18 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("prob", help="outcome probabilities for a pure state")
-    add_common(p, direction=True, epsilon=True, state=True)
+    add_common(p, direction=True, state=True)
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("simulate", help="stochastic outcome simulation")
-    add_common(p, direction=True, epsilon=True, state=True)
+    add_common(p, direction=True, state=True)
     p.add_argument("--trials", type=int, required=True, help="number of trials (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ks-check", help="noncontextuality check for a direction set")
     p.add_argument("--directions", required=True, help="direction-set file")
-    add_common(p, epsilon=True)
+    add_common(p)
     p.add_argument("--delta", type=float, required=True, help="unsharpness tolerance in [0, 0.5)")
     p.set_defaults(func=cmd_ks_check)
 
@@ -333,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epsilon", None) is None and hasattr(args, "epsilon"):
-        if not getattr(args, "profile", None):
-            parser.error(f"{args.command}: --epsilon is required unless --profile is given")
     out = io.StringIO()  # stdout only once the whole command has succeeded
     try:
         code = args.func(args, out)

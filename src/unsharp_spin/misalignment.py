@@ -2,8 +2,8 @@
 
 A misalignment model describes where the actually-measured direction m
 lands when the intended direction is n.  Both models here are axially
-symmetric about n: the density depends only on the angle between m and n.
-Axial symmetry makes the density rotation covariant by construction,
+symmetric about n: the density is ``density(u)``, a function of u = n.m
+alone.  That makes it rotation covariant by construction,
 w_n(R m) = w_{R^-1 n}(m), which the downstream effect algebra relies on;
 densities without that symmetry are deliberately not representable.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import as_unit_vector, polar_from_unit, rotation_from_euler
+from .spin_core import polar_from_unit, rotation_from_euler
 
 # Node count per panel of the 1-D axial rule (normalization constants and
 # eigenvalue integrals; sampling uses its own table).  Shared so that
@@ -87,10 +87,10 @@ class _AxialModel:
     """Density supported on the cap of half-angle ``epsilon`` about the
     axis and depending only on the angle from it.
 
-    ``density_polar`` is 0 off the support; on it, it is the subclass's
-    ``_support_density(theta)``, the density per steradian as a function
-    of that angle.  ``breakpoints`` are angles where that function may
-    have a kink; ``polar_rule`` splits at those inside (0, epsilon).
+    ``density(u)`` takes u = cos(angle from the axis); it is 0 off the
+    support and, on it, the subclass's ``_support_density(u)``, the
+    density per steradian.  ``breakpoints`` are angles where that function
+    may have a kink; ``polar_rule`` splits at those inside (0, epsilon).
     """
 
     def __init__(self, epsilon: float, breakpoints=()):
@@ -110,17 +110,10 @@ class _AxialModel:
         sum(w f(u)) approximates the integral of f over u."""
         return _polar_rule(self._cos_eps, 1.0, AXIAL_NODES, self._breakpoints)
 
-    def density_polar(self, theta) -> np.ndarray:
-        """Density per steradian at the angle ``theta`` from the axis."""
-        theta = np.asarray(theta, dtype=float)
-        return np.where(np.cos(theta) >= self._cos_eps - 1e-15, self._support_density(theta), 0.0)
-
-    def density(self, n, m) -> float:
-        """Density w_n(m) for intended direction ``n`` at direction ``m``."""
-        n = as_unit_vector(n, "n")
-        m = as_unit_vector(m, "m")
-        angle = float(np.arccos(np.clip(n @ m, -1.0, 1.0)))
-        return float(self.density_polar(angle))
+    def density(self, u) -> np.ndarray:
+        """Density per steradian at u = cos(angle from the axis)."""
+        u = np.asarray(u, dtype=float)
+        return np.where(u >= self._cos_eps - 1e-15, self._support_density(u), 0.0)
 
 
 class UniformCap(_AxialModel):
@@ -133,7 +126,7 @@ class UniformCap(_AxialModel):
         super().__init__(epsilon)
         self.area = cap_area(epsilon)
 
-    def _support_density(self, theta) -> float:
+    def _support_density(self, u) -> float:
         return 1.0 / self.area
 
     def sample_polar(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +154,7 @@ class AxialDensity(_AxialModel):
         super().__init__(epsilon, breakpoints)
         self.profile = profile
         u, w = self.polar_rule()
-        values = np.asarray(profile(np.arccos(np.clip(u, -1.0, 1.0))), dtype=float)
+        values = self._profile_at(u)
         if values.shape != u.shape:
             raise ValueError("profile must map angle arrays to same-shape arrays")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
@@ -171,13 +164,17 @@ class AxialDensity(_AxialModel):
             raise ValueError("profile has zero total mass on [0, epsilon]")
         self._norm = 1.0 / mass
 
-    def _support_density(self, theta) -> np.ndarray:
-        return self._norm * np.asarray(self.profile(theta), dtype=float)
+    def _profile_at(self, u) -> np.ndarray:
+        # the profile is given in theta: the one conversion from u
+        return np.asarray(self.profile(np.arccos(np.clip(u, -1.0, 1.0))), dtype=float)
+
+    def _support_density(self, u) -> np.ndarray:
+        return self._norm * self._profile_at(u)
 
     def sample_polar(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse-CDF sampling of theta off a dense table, uniform phi."""
+        """Inverse-CDF sampling of theta off a dense theta table of the profile, uniform phi."""
         grid = np.linspace(0.0, self.epsilon, 4097)
-        pdf = self.density_polar(grid) * np.sin(grid)
+        pdf = self._norm * np.asarray(self.profile(grid), dtype=float) * np.sin(grid)
         steps = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
         cdf = np.concatenate([[0.0], np.cumsum(steps)])
         cdf /= cdf[-1]
@@ -279,6 +276,4 @@ def density_covariance_witness(model, samples: int, seed: int = 0) -> float:
     # each side rotates its own argument first, as w_n(R m) and w_{R^-1 n}(m) read
     lhs_cos = np.einsum("ki,ki->k", n, np.einsum("kij,kj->ki", r, m))
     rhs_cos = np.einsum("ki,ki->k", np.einsum("kji,kj->ki", r, n), m)
-    lhs = model.density_polar(np.arccos(np.clip(lhs_cos, -1.0, 1.0)))
-    rhs = model.density_polar(np.arccos(np.clip(rhs_cos, -1.0, 1.0)))
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return float(np.max(np.abs(model.density(lhs_cos) - model.density(rhs_cos)), initial=0.0))

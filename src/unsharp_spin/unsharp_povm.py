@@ -85,9 +85,7 @@ def alphas_axial(model) -> Alphas:
     the support of the density, on the model's ``polar_rule``.
     """
     u, w = model.polar_rule()
-    theta = np.arccos(np.clip(u, -1.0, 1.0))
-    density = model.density_polar(theta)
-    base = 2.0 * np.pi * w * density
+    base = 2.0 * np.pi * w * model.density(u)
     a1 = float(base @ ((1.0 + u) / 2.0) ** 2)
     a2 = float(base @ ((1.0 - u * u) / 2.0))
     a3 = float(base @ ((1.0 - u) / 2.0) ** 2)

@@ -116,9 +116,7 @@ def check_density_normalization():
         for model in (UniformCap(eps), AxialDensity(eps, _cap_profile)):
             mass = sphere_integral_matrix(
                 lambda m: np.broadcast_to(np.eye(3), (len(m), 3, 3)),
-                lambda m, model=model: model.density_polar(
-                    np.arccos(np.clip(m[:, 2], -1.0, 1.0))
-                ),
+                lambda m, model=model: model.density(m[:, 2]),
                 spec,
                 u_range=model.support_u(),
             )
@@ -152,10 +150,9 @@ def sphere_effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Effec
         x[1:] = m.T
         return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
 
-    def density(m):
-        return model.density_polar(np.arccos(np.clip(m @ n, -1.0, 1.0)))
-
-    moment = sphere_integral_matrix(moments, density, spec, axis=n, u_range=model.support_u())
+    moment = sphere_integral_matrix(
+        moments, lambda m: model.density(m @ n), spec, axis=n, u_range=model.support_u()
+    )
     mu, big_m = moment[0], moment[1:]
     linear = np.tensordot(mu, _S, axes=1)  # int w m.S
     square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=0)  # int w (m.S)^2

@@ -10,6 +10,8 @@ from unsharp_spin import cli, formats, verify
 
 # SHA-256 of `ks-check --output` on the Peres directions at epsilon 0.4, delta 0.1
 PERES_REPORT_SHA256 = "f0bbe628027cab015b7a121d4e2c2f34e947b9acf4484d5698abcda2fa99fde4"
+PERES = str(formats.fixture_path("peres33_directions.json"))
+STATE_EPS = ["--state", "0,1,0", "--epsilon", "0.4"]
 
 
 def run_cli(argv, capsys):
@@ -33,12 +35,6 @@ class TestThreshold:
         assert abs(doc["epsilon_rad"] - 0.459) < 5e-4
         assert abs(doc["epsilon_deg"] - 26.3) < 0.05
 
-    def test_rejects_bad_delta(self, capsys):
-        for delta in ("0.7", "0"):
-            code, _, err = run_cli(["threshold", "--delta", delta], capsys)
-            assert code == 2
-            assert "delta" in err
-
 
 class TestAlphas:
     def test_isotropic(self, capsys):
@@ -61,6 +57,12 @@ class TestAlphas:
     def test_epsilon_required_without_profile(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["alphas"])
+
+    def test_epsilon_and_profile_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["alphas", "--epsilon", "0.4", "--profile", "p.json"])
+        assert exc.value.code == 2
+        assert "--profile: not allowed with argument --epsilon" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -93,11 +95,6 @@ class TestEffects:
         # the (0,0) entry of effect(+1) is a1(0.459) = 0.949140755310...
         assert "0.94914075531" in out
 
-    def test_rejects_out_of_range_epsilon(self, capsys):
-        code, _, err = run_cli(["effects", "--direction", "0,0", "--epsilon", "4.0"], capsys)
-        assert code == 2
-        assert "epsilon" in err
-
     @pytest.mark.parametrize("command", ["effects", "prob", "simulate"])
     def test_kinked_profile_table(self, capsys, tmp_path, command):
         # an interior table node is a kink of the interpolated profile
@@ -118,6 +115,11 @@ class TestProbAndSimulate:
         assert code == 0
         assert "P(outcome 0) = 0.923138116225" in out
 
+    def test_prob_fixed_resolution(self, capsys):
+        # 1e-12 resolution, as effects prints: P(+1) = a2 = 2.499999375e-07 here
+        _, out, _ = run_cli(["prob", "--state", "0,1,0", "--direction", "0,0", "--epsilon", "1e-3"], capsys)
+        assert out.startswith("P(outcome +1) = 0.000000250000\n")
+
     def test_prob_complex_state(self, capsys):
         code, out, _ = run_cli(
             ["prob", "--state", "0.5+0.5i,0,0.70710678", "--direction", "0,0", "--epsilon", "0.4"],
@@ -135,17 +137,6 @@ class TestProbAndSimulate:
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
 
-    def test_simulate_rejects_zero_trials(self, capsys):
-        code, _, err = run_cli(
-            [
-                "simulate", "--trials", "0", "--seed", "1",
-                "--state", "0,1,0", "--direction", "0,0", "--epsilon", "0.4",
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert "trials" in err
-
     @pytest.mark.parametrize("command", ["prob", "simulate"])
     @pytest.mark.parametrize("state, bad", [("0,1,nan", "nan"), ("nan,1,0", "nan"), ("inf,0,0", "inf")])
     def test_rejects_non_finite_state(self, capsys, command, state, bad):
@@ -158,18 +149,31 @@ class TestProbAndSimulate:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            (["prob", "--direction", "inf,0"], "error: --direction: angles must be finite, got 'inf,0'\n"),
-            (["prob", "--direction", "0,nan"], "error: --direction: angles must be finite, got '0,nan'\n"),
-            (["simulate", "--direction", "inf,0", "--trials", "10"],
-             "error: --direction: angles must be finite, got 'inf,0'\n"),
-            (["simulate", "--direction", "0,0", "--trials", "10", "--seed", "-5"],
-             "error: --seed: must be a non-negative integer, got -5\n"),
+            (["prob", *STATE_EPS, "--direction", "inf,0"], "--direction: angles must be finite, got 'inf,0'"),
+            (["prob", *STATE_EPS, "--direction", "0,nan"], "--direction: angles must be finite, got '0,nan'"),
+            (["simulate", *STATE_EPS, "--direction", "inf,0", "--trials", "10"],
+             "--direction: angles must be finite, got 'inf,0'"),
+            (["simulate", *STATE_EPS, "--direction", "0,0", "--trials", "10", "--seed", "-5"],
+             "--seed: must be a non-negative integer, got -5"),
+            (["simulate", *STATE_EPS, "--direction", "0,0", "--trials", "0"],
+             "--trials: trials must be >= 1, got 0"),
+            (["effects", "--direction", "0,0", "--epsilon", "4"],
+             "--epsilon: epsilon must be in (0, pi], got 4.0"),
+            (["alphas", "--epsilon", "200", "--degrees"],
+             "--epsilon 200.0 --degrees: epsilon must be in (0, pi], got 3.490658503988659"),
+            (["threshold", "--delta", "0.7"], "--delta: delta must satisfy 0 <= delta < 0.5, got 0.7"),
+            (["threshold", "--delta", "0"],
+             "--delta: delta must be positive: only the sharp limit satisfies delta = 0"),
+            (["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.7"],
+             "--delta: delta must satisfy 0 <= delta < 0.5, got 0.7"),
         ],
-        ids=["prob-inf-theta", "prob-nan-phi", "simulate-inf-theta", "simulate-negative-seed"],
+        ids=["prob-inf-theta", "prob-nan-phi", "simulate-inf-theta", "simulate-negative-seed",
+             "simulate-zero-trials", "effects-epsilon-4", "alphas-epsilon-200-degrees", "threshold-delta-0.7",
+             "threshold-delta-0", "ks-check-delta-0.7"],
     )
     def test_input_error_names_its_flag(self, capsys, argv, err):
-        code, out, got = run_cli(argv + ["--state", "0,1,0", "--epsilon", "0.4"], capsys)
-        assert (code, out, got) == (2, "", err)
+        code, out, got = run_cli(argv, capsys)
+        assert (code, out, got) == (2, "", f"error: {err}\n")
 
     def test_rejects_malformed_state(self, capsys):
         code, _, err = run_cli(["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"], capsys)
@@ -183,7 +187,7 @@ class TestKsCheck:
         code, out, _ = run_cli(
             [
                 "ks-check",
-                "--directions", str(formats.fixture_path("peres33_directions.json")),
+                "--directions", PERES,
                 "--epsilon", "0.4",
                 "--delta", "0.1",
                 "--output", str(path),
@@ -202,7 +206,7 @@ class TestKsCheck:
         code, out, _ = run_cli(
             [
                 "ks-check",
-                "--directions", str(formats.fixture_path("peres33_directions.json")),
+                "--directions", PERES,
                 "--epsilon", "0.4",
                 "--delta", "0.1",
                 "--output", str(path),
@@ -217,7 +221,7 @@ class TestKsCheck:
         code, out, _ = run_cli(
             [
                 "ks-check",
-                "--directions", str(formats.fixture_path("peres33_directions.json")),
+                "--directions", PERES,
                 "--epsilon", "0.6",
                 "--delta", "0.1",
             ],
@@ -232,7 +236,7 @@ class TestKsCheck:
             run_cli(
                 [
                     "ks-check",
-                    "--directions", str(formats.fixture_path("peres33_directions.json")),
+                    "--directions", PERES,
                     "--epsilon", "0.4",
                     "--delta", "0.1",
                     "--output", str(path),

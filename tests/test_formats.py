@@ -126,7 +126,7 @@ class TestProfileFiles:
         path = json_file(tmp_path, {"name": "cap", "epsilon": 0.5, "profile": table})
         model = formats.load_profile_file(path)
         assert model.epsilon == 0.5
-        assert model.density([0, 0, 1], [0, 0, 1]) > 0
+        assert model.density(1.0) > 0  # on the axis, u = n.n = 1
 
     def test_rejects_decreasing_thetas(self, tmp_path):
         path = json_file(tmp_path, {"name": "bad", "epsilon": 0.5, "profile": [[0.2, 1], [0.1, 1]]})

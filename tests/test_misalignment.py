@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import max_abs, per_node
+from conftest import max_abs
 from unsharp_spin import misalignment as mis
 from unsharp_spin import spin_core as sc
 from unsharp_spin.unsharp_povm import alphas_uniform_cap
 
+Z = np.array([0.0, 0.0, 1.0])
+
 
 def cos2_profile(theta):
     return np.cos(theta / 2.0) ** 2
+
+
+def identity(m):
+    return np.broadcast_to(np.eye(3), (len(m), 3, 3))
+
+
+def projector(m, k=0):
+    # batched sharp projectors onto eigenvector k (0, 1, 2 for +1, 0, -1) of m.S
+    v = sc.eigenvector_rows(m)[k]
+    return v[:, :, None] * v[:, None, :].conj()
 
 
 class TestCapArea:
@@ -26,10 +38,7 @@ class TestCapArea:
         # integrate the cap indicator over its own support band
         eps = 0.459
         area = mis.sphere_integral_matrix(
-            per_node(lambda m: np.eye(3)),
-            per_node(lambda m: 1.0),
-            mis.QuadratureSpec(),
-            u_range=(np.cos(eps), 1.0),
+            identity, lambda m: np.ones(len(m)), mis.QuadratureSpec(), u_range=(np.cos(eps), 1.0)
         )
         assert max_abs(area - mis.cap_area(eps) * np.eye(3)) < 1e-10
 
@@ -54,17 +63,17 @@ class TestUniformCap:
     def test_isotropic_density(self):
         model = mis.UniformCap(np.pi)
         m = sc.unit_from_polar(2.1, 0.3)
-        assert abs(model.density([0, 0, 1], m) - 1 / (4 * np.pi)) < 1e-14
+        assert abs(model.density(Z @ m) - 1 / (4 * np.pi)) < 1e-14
 
     def test_outside_cap_is_zero(self):
         model = mis.UniformCap(0.3)
         m = sc.unit_from_polar(0.5, 0.0)
-        assert model.density([0, 0, 1], m) == 0.0
+        assert model.density(Z @ m) == 0.0
 
     def test_inside_cap_value(self):
         model = mis.UniformCap(0.3)
         expected = 1.0 / (2 * np.pi * (1 - np.cos(0.3)))
-        assert abs(model.density([0, 0, 1], [0, 0, 1]) - expected) < 1e-12
+        assert abs(model.density(Z @ Z) - expected) < 1e-12
 
     @pytest.mark.parametrize("eps", [0.0, 4.0])
     def test_domain_errors(self, eps):
@@ -72,18 +81,15 @@ class TestUniformCap:
             mis.UniformCap(eps)
 
 
-class TestAxialDensity:
-    def test_normalization(self):
-        for eps in (0.1, 0.459, 1.0, np.pi):
-            model = mis.AxialDensity(eps, cos2_profile)
-            mass = mis.sphere_integral_matrix(
-                per_node(lambda m: np.eye(3)),
-                per_node(lambda m: model.density([0, 0, 1], m)),
-                mis.QuadratureSpec(),
-                u_range=model.support_u(),
-            )
-            assert max_abs(mass - np.eye(3)) < 1e-8
+@pytest.mark.parametrize("model", [mis.UniformCap(0.4), mis.AxialDensity(0.4, cos2_profile)])
+def test_density_at_support_edge(model):
+    # the support is closed at u = cos(epsilon) and ends just below it
+    edge = np.cos(model.epsilon)
+    assert model.density(edge) > 0.0
+    assert model.density(edge - 1e-14) == 0.0
 
+
+class TestAxialDensity:
     def test_rejects_negative_profile(self):
         with pytest.raises(ValueError, match="nonnegative"):
             mis.AxialDensity(0.5, lambda t: np.cos(t) - 2.0)
@@ -94,7 +100,7 @@ class TestAxialDensity:
 
     def test_density_outside_support(self):
         model = mis.AxialDensity(0.4, cos2_profile)
-        assert model.density([0, 0, 1], sc.unit_from_polar(0.8, 0.1)) == 0.0
+        assert model.density(Z @ sc.unit_from_polar(0.8, 0.1)) == 0.0
 
     def test_polar_rule_splits_only_inside_support(self):
         # breakpoints at or beyond the support's ends leave the one-panel
@@ -109,47 +115,29 @@ class TestAxialDensity:
 
 class TestSphereIntegralMatrix:
     def test_identity_times_area(self):
-        out = mis.sphere_integral_matrix(
-            per_node(lambda m: np.eye(3)), per_node(lambda m: 1.0), mis.QuadratureSpec()
-        )
+        out = mis.sphere_integral_matrix(identity, lambda m: np.ones(len(m)), mis.QuadratureSpec())
         assert max_abs(out - 4 * np.pi * np.eye(3)) < 1e-10
 
     def test_isotropic_projector_average(self):
-        from unsharp_spin.spin_core import sharp_projectors
-
-        out = mis.sphere_integral_matrix(
-            per_node(lambda m: sharp_projectors(m).f_plus),
-            per_node(lambda m: 1.0 / (4 * np.pi)),
-            mis.QuadratureSpec(),
-        )
+        out = mis.sphere_integral_matrix(projector, lambda m: np.full(len(m), 0.25 / np.pi), mis.QuadratureSpec())
         assert max_abs(out - np.eye(3) / 3) < 1e-8
 
     def test_cap_weighted_projector_is_diagonal_alphas(self):
-        from unsharp_spin.spin_core import sharp_projectors
-
         eps = 0.6
         model = mis.UniformCap(eps)
         out = mis.sphere_integral_matrix(
-            per_node(lambda m: sharp_projectors(m).f_plus),
-            per_node(lambda m: model.density([0, 0, 1], m)),
-            mis.QuadratureSpec(),
-            u_range=model.support_u(),
+            projector, lambda m: model.density(m[:, 2]), mis.QuadratureSpec(), u_range=model.support_u()
         )
         a = alphas_uniform_cap(eps)
         assert max_abs(out - np.diag([a.a1, a.a2, a.a3])) < 1e-8
 
     def test_convergence_under_doubling(self):
-        from unsharp_spin.spin_core import sharp_projectors
-
         eps = 0.7
         model = mis.UniformCap(eps)
 
         def run(spec):
             return mis.sphere_integral_matrix(
-                per_node(lambda m: sharp_projectors(m).f_zero),
-                per_node(lambda m: model.density([0, 0, 1], m)),
-                spec,
-                u_range=model.support_u(),
+                lambda m: projector(m, 1), lambda m: model.density(m[:, 2]), spec, u_range=model.support_u()
             )
 
         coarse = run(mis.QuadratureSpec(32, 32))
@@ -162,13 +150,13 @@ class TestSphereIntegralMatrix:
             w[17] = -1e-300
             return w
 
-        for weight in (per_node(lambda m: -1.0), negative_at_one_node):
+        for weight in (lambda m: -np.ones(len(m)), negative_at_one_node):
             with pytest.raises(ValueError, match="negative"):
-                mis.sphere_integral_matrix(per_node(lambda m: np.eye(3)), weight, mis.QuadratureSpec(8, 8))
+                mis.sphere_integral_matrix(identity, weight, mis.QuadratureSpec(8, 8))
 
     def test_deterministic(self):
         spec = mis.QuadratureSpec(16, 16)
-        f, w = per_node(lambda m: np.outer(m, m)), per_node(lambda m: 1.0)
+        f, w = lambda m: m[:, :, None] * m[:, None, :], lambda m: np.ones(len(m))
         a = mis.sphere_integral_matrix(f, w, spec)
         b = mis.sphere_integral_matrix(f, w, spec)
         assert np.array_equal(a, b)

@@ -108,8 +108,8 @@ class TestEffects:
             assert float(np.linalg.norm(triple.effect(i) - proj.effect(i))) < 1e-5
 
     def test_matches_generic_integrator(self):
-        # the oracle agrees with a plain per-node sum over the same grid and
-        # with the closed form, and its symmetrization makes each effect
+        # the oracle agrees with a plain sum of projectors over the same grid
+        # and with the closed form, and its symmetrization makes each effect
         # Hermitian bit for bit; the poles and a direction within rounding
         # of one exercise the re-poling
         spec = mis.QuadratureSpec(32, 32)
@@ -118,9 +118,9 @@ class TestEffects:
                 triple = verify.sphere_effects(n, model, spec)
                 closed = up.effects(n, model)
                 points, weights = mis.sphere_grid(spec, axis=n, u_range=model.support_u())
-                oracle = np.zeros((3, 3, 3), dtype=complex)
-                for m, w in zip(points, weights):
-                    oracle += w * model.density(n, m) * np.array(sc.sharp_projectors(m).as_tuple())
+                dw = weights * model.density(points @ n)
+                oracle = [np.tensordot(dw, v[:, :, None] * v[:, None, :].conj(), axes=1)
+                          for v in sc.eigenvector_rows(points)]
                 for k, i in enumerate((1, 0, -1)):
                     assert max_abs(triple.effect(i) - oracle[k]) < 1e-10
                     assert max_abs(triple.effect(i) - closed.effect(i)) < 1e-10
