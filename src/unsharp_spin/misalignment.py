@@ -205,20 +205,17 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def points_about_axis(u, phi, axis=None) -> np.ndarray:
-    """Unit vectors at local polar coordinates (u = cos theta, phi) about
-    ``axis``, as an (N, 3) array.
-
-    The local frame is re-poled so that its z-axis is ``axis`` (the
-    z-axis itself when ``axis`` is None).
-    """
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    local = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
-    if axis is None:
-        return local
+def _repole(local: np.ndarray, axis) -> np.ndarray:
+    # (N, 3) local vectors carried to the frame whose z-axis is ``axis``
     theta_a, phi_a = polar_from_unit(axis)
-    frame = rotation_from_euler(phi_a, theta_a, 0.0)  # maps z to axis
-    return local @ frame.T
+    return local @ rotation_from_euler(phi_a, theta_a, 0.0).T  # the rotation maps z to axis
+
+
+def points_about_axis(u, phi, axis) -> np.ndarray:
+    """Unit vectors at local polar coordinates (u = cos theta, phi) about
+    ``axis``, as an (N, 3) array."""
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    return _repole(np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1), axis)
 
 
 def sphere_grid(
@@ -229,12 +226,21 @@ def sphere_grid(
     """Quadrature nodes on (part of) the sphere.
 
     Returns (N, 3) unit vectors and (N,) weights summing to the area of
-    the u-band, u the cosine from ``axis`` (the z-axis when None).
+    the u-band, u the cosine from ``axis`` (the z-axis when None).  Nodes
+    run phi-fastest: node k has the (k // n_phi)-th theta node and the
+    (k % n_phi)-th phi node.  The grid is the theta x phi product, so the
+    transcendentals are taken on the n_theta + n_phi factors alone.
     """
     u, wu = _polar_rule(u_range[0], u_range[1], spec.n_theta)
     phi = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
-    weights = np.repeat(wu, spec.n_phi) * (2.0 * np.pi / spec.n_phi)
-    return points_about_axis(np.repeat(u, spec.n_phi), np.tile(phi, spec.n_theta), axis), weights
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    local = np.empty((spec.n_theta, spec.n_phi, 3))
+    local[:, :, 0] = st[:, None] * np.cos(phi)
+    local[:, :, 1] = st[:, None] * np.sin(phi)
+    local[:, :, 2] = u[:, None]
+    local = local.reshape(-1, 3)
+    weights = np.repeat(wu * (2.0 * np.pi / spec.n_phi), spec.n_phi)
+    return (local if axis is None else _repole(local, axis)), weights
 
 
 def sphere_integral_matrix(
@@ -270,9 +276,7 @@ def density_covariance_witness(model, samples: int, seed: int = 0) -> float:
     from .spin_core import random_rotation, random_unit_vector
 
     rng = np.random.default_rng(seed)
-    r, n, m = np.empty((samples, 3, 3)), np.empty((samples, 3)), np.empty((samples, 3))
-    for k in range(samples):
-        r[k], n[k], m[k] = random_rotation(rng), random_unit_vector(rng), random_unit_vector(rng)
+    r, n, m = random_rotation(rng, samples), random_unit_vector(rng, samples), random_unit_vector(rng, samples)
     # each side rotates its own argument first, as w_n(R m) and w_{R^-1 n}(m) read
     lhs_cos = np.einsum("ki,ki->k", n, np.einsum("kij,kj->ki", r, m))
     rhs_cos = np.einsum("ki,ki->k", np.einsum("kji,kj->ki", r, n), m)

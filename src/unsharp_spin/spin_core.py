@@ -192,18 +192,25 @@ def sharp_projectors(n) -> EffectTriple:
     return EffectTriple(as_unit_vector(n), *(np.outer(psi, psi.conj()) for psi in sharp_eigenvectors(n)))
 
 
-def rotation_z(angle: float) -> np.ndarray:
+def rotation_z(angle) -> np.ndarray:
+    """Rotation by ``angle`` about z; a (..., 3, 3) stack over an array of angles."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    r = np.zeros(np.shape(c) + (3, 3))
+    r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1], r[..., 2, 2] = c, -s, s, c, 1.0
+    return r
 
 
-def rotation_y(angle: float) -> np.ndarray:
+def rotation_y(angle) -> np.ndarray:
+    """Rotation by ``angle`` about y; a (..., 3, 3) stack over an array of angles."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    r = np.zeros(np.shape(c) + (3, 3))
+    r[..., 0, 0], r[..., 0, 2], r[..., 2, 0], r[..., 2, 2], r[..., 1, 1] = c, s, -s, c, 1.0
+    return r
 
 
-def rotation_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Active rotation R = Rz(alpha) Ry(beta) Rz(gamma) on column vectors."""
+def rotation_from_euler(alpha, beta, gamma) -> np.ndarray:
+    """Active rotation R = Rz(alpha) Ry(beta) Rz(gamma) on column vectors;
+    a (..., 3, 3) stack over arrays of angles."""
     return rotation_z(alpha) @ rotation_y(beta) @ rotation_z(gamma)
 
 
@@ -244,18 +251,28 @@ def wigner_d1(r) -> np.ndarray:
     return spin1_representation(r).conj().T
 
 
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    """Uniformly distributed point on the unit sphere."""
-    while True:
-        v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
+def random_unit_vector(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Uniformly distributed point on the unit sphere; with ``size``, that
+    many as a (size, 3) array, drawn as one block (a row too short to
+    normalize is redrawn)."""
+    if size is None:
+        while True:
+            v = rng.standard_normal(3)
+            norm = np.linalg.norm(v)
+            if norm > 1e-6:
+                return v / norm
+    v = rng.standard_normal((size, 3))
+    norm = np.linalg.norm(v, axis=1)
+    while len(short := np.flatnonzero(norm <= 1e-6)):
+        v[short] = rng.standard_normal((len(short), 3))
+        norm[short] = np.linalg.norm(v[short], axis=1)
+    return v / norm[:, None]
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed rotation via z-y-z angles with uniform cos(beta)."""
-    alpha = 2.0 * np.pi * rng.random()
-    gamma = 2.0 * np.pi * rng.random()
-    beta = float(np.arccos(1.0 - 2.0 * rng.random()))
+def random_rotation(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-distributed rotation via z-y-z angles with uniform cos(beta);
+    with ``size``, a (size, 3, 3) stack, each angle drawn as one block."""
+    alpha = 2.0 * np.pi * rng.random(size)
+    gamma = 2.0 * np.pi * rng.random(size)
+    beta = np.arccos(1.0 - 2.0 * rng.random(size))
     return rotation_from_euler(alpha, beta, gamma)

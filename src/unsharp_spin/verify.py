@@ -61,21 +61,21 @@ def check_projector_triples():
     """Idempotence, mutual orthogonality, completeness, spectral sum, and
     P_+ + P_- = (n.S)^2, the identity ``sphere_effects`` integrates by."""
     rng = np.random.default_rng(SEED)
-    worst = 0.0
+    ps, s_n = [], []
     for _ in range(100):
         n = random_unit_vector(rng)
-        triple = sharp_projectors(n)
-        ps = triple.as_tuple()
-        s_n = spin_along(n)
-        total = sum(ps)
-        worst = max(worst, float(np.max(np.abs(total - np.eye(3)))))
-        spectral = ps[0] - ps[2]
-        worst = max(worst, float(np.max(np.abs(spectral - s_n))))
-        worst = max(worst, float(np.max(np.abs(ps[0] + ps[2] - s_n @ s_n))))
-        for i in range(3):
-            worst = max(worst, float(np.max(np.abs(ps[i] @ ps[i] - ps[i]))))
-            for j in range(i + 1, 3):
-                worst = max(worst, float(np.max(np.abs(ps[i] @ ps[j]))))
+        ps.append(sharp_projectors(n).as_tuple())
+        s_n.append(spin_along(n))
+    ps, s_n = np.array(ps), np.array(s_n)  # (draw, outcome, 3, 3), (draw, 3, 3)
+    plus, minus = ps[:, 0], ps[:, 2]
+    residuals = (
+        ps.sum(axis=1) - np.eye(3),
+        plus - minus - s_n,
+        plus + minus - s_n @ s_n,
+        ps @ ps - ps,
+        *(ps[:, i] @ ps[:, j] for i, j in ((0, 1), (0, 2), (1, 2))),
+    )
+    worst = max(float(np.max(np.abs(x))) for x in residuals)
     return worst <= 1e-12, f"max residual {worst:.3e} (tol 1e-12)"
 
 
@@ -95,16 +95,14 @@ def check_rotation_composition():
 def check_projector_covariance():
     """D(R) P_m D(R)^-1 = P_{R^-1 m} over random rotations/directions."""
     rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
+    d, original, rotated = [], [], []
     for _ in range(100):
         r = random_rotation(rng)
         m = random_unit_vector(rng)
-        d = wigner_d1(r)
-        rotated = sharp_projectors(r.T @ m)
-        original = sharp_projectors(m)
-        for i in (1, 0, -1):
-            delta = d @ original.effect(i) @ d.conj().T - rotated.effect(i)
-            worst = max(worst, float(np.linalg.norm(delta)))
+        d.append(wigner_d1(r))
+        rotated.append(sharp_projectors(r.T @ m).as_tuple())
+        original.append(sharp_projectors(m).as_tuple())
+    worst = _conjugation_residual(np.array(d), np.array(original), np.array(rotated))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
 
@@ -198,23 +196,34 @@ def check_density_covariance():
     return worst <= 1e-12, f"max witness {worst:.3e} (tol 1e-12)"
 
 
-def _triple_residuals(triple, alphas):
-    """Identity, positivity, eigenvalue-sum, off-diagonal, commutator and
-    spectrum residuals of one effect triple against its model's a1..a4."""
-    fs = np.stack(triple.as_tuple())
-    w = np.linalg.eigvalsh(fs)  # (outcome, ascending eigenvalue)
-    basis = np.column_stack(sharp_eigenvectors(triple.direction))
-    conj = basis.conj().T @ fs @ basis
-    on_rays = np.diagonal(conj, axis1=1, axis2=2)
-    want = np.array([alphas.spectrum(i) for i in (1, 0, -1)])
-    comm = max(float(np.linalg.norm(fs[a] @ fs[b] - fs[b] @ fs[a])) for a, b in ((0, 1), (0, 2), (1, 2)))
+def _conjugation_residual(d, fs, want) -> float:
+    """Largest Frobenius norm of D F D^dag - F' over a stack: ``d`` is
+    (draw, 3, 3) and ``fs`` and ``want`` are (draw, outcome, 3, 3)."""
+    d = d[:, None]
+    return float(np.max(np.linalg.norm(d @ fs @ d.conj().swapaxes(-1, -2) - want, axis=(-2, -1))))
+
+
+def _triple_residuals(fs, bases, want):
+    """Worst identity, positivity, eigenvalue-sum, off-diagonal, commutator
+    and spectrum residuals over a stack of effect triples: ``fs`` is
+    (triple, outcome, 3, 3), ``bases`` (triple, 3, 3) the sharp
+    eigenvectors of each triple's direction as columns and ``want``
+    (triple, outcome, 3) the model's a1..a4 on each outcome's eigenrays."""
+    w = np.linalg.eigvalsh(fs)  # (triple, outcome, ascending eigenvalue)
+    bases = bases[:, None]
+    conj = bases.conj().swapaxes(-1, -2) @ fs @ bases
+    on_rays = np.diagonal(conj, axis1=-2, axis2=-1)
+    comm = max(
+        float(np.max(np.linalg.norm(fs[:, a] @ fs[:, b] - fs[:, b] @ fs[:, a], axis=(-2, -1))))
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    )
     return (
-        float(np.max(np.abs(fs.sum(axis=0) - np.eye(3)))),
+        float(np.max(np.abs(fs.sum(axis=1) - np.eye(3)))),
         max(0.0, float(-w.min()), float(w.max() - 1.0)),
-        float(np.max(np.abs(w.sum(axis=1) - 1.0))),
-        float(np.max(np.abs(conj - on_rays[:, :, None] * np.eye(3)))),
+        float(np.max(np.abs(w.sum(axis=-1) - 1.0))),
+        float(np.max(np.abs(conj - on_rays[..., None] * np.eye(3)))),
         comm,
-        max(float(np.max(np.abs(w - np.sort(want, axis=1)))), float(np.max(np.abs(on_rays - want)))),
+        max(float(np.max(np.abs(w - np.sort(want, axis=-1)))), float(np.max(np.abs(on_rays - want)))),
     )
 
 
@@ -237,17 +246,20 @@ def effect_triple_residuals() -> dict[str, float]:
     draws.  Covariance compares F_n and F_{R^-1 n}; every other property
     is measured on both triples of each pair."""
     rng = np.random.default_rng(SEED + 6)
-    worst = np.zeros(7)
+    d, fs, bases, want = [], [], [], []
     for _ in range(100):
         n = random_unit_vector(rng)
         eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
         r = random_rotation(rng)
-        model, alphas, d = UniformCap(eps), alphas_uniform_cap(eps), wigner_d1(r)
-        t1, t2 = sphere_effects(n, model), sphere_effects(r.T @ n, model)
-        cov = max(float(np.linalg.norm(d @ t1.effect(i) @ d.conj().T - t2.effect(i))) for i in (1, 0, -1))
-        for triple in (t1, t2):
-            worst = np.maximum(worst, (*_triple_residuals(triple, alphas), cov))
-    return dict(zip(EFFECT_TOLERANCES, worst.tolist()))
+        model, alphas = UniformCap(eps), alphas_uniform_cap(eps)
+        d.append(wigner_d1(r))
+        for triple in (sphere_effects(n, model), sphere_effects(r.T @ n, model)):
+            fs.append(triple.as_tuple())
+            bases.append(np.column_stack(sharp_eigenvectors(triple.direction)))
+            want.append([alphas.spectrum(i) for i in (1, 0, -1)])
+    fs = np.array(fs)  # (triple, outcome, 3, 3): F_n, then F_{R^-1 n}, per draw
+    cov = _conjugation_residual(np.array(d), fs[0::2], fs[1::2])
+    return dict(zip(EFFECT_TOLERANCES, (*_triple_residuals(fs, np.array(bases), np.array(want)), cov)))
 
 
 def check_effect_triples():
@@ -302,9 +314,11 @@ def check_simulator_consistency():
 
 def _overlap_law(c):
     """|<n,i|n',j>|^2 for i, j in (+1, 0, -1), c = n.n': the squared
-    spin-1 rotation matrix elements at the angle between n and n'."""
+    spin-1 rotation matrix elements at the angle between n and n', as a
+    (..., 3, 3) array over the array of cosines ``c``."""
     plus, minus, cross = (1.0 + c) ** 2 / 4.0, (1.0 - c) ** 2 / 4.0, (1.0 - c * c) / 2.0
-    return np.array([[plus, cross, minus], [cross, c * c, cross], [minus, cross, plus]])
+    rows = ((plus, cross, minus), (cross, c * c, cross), (minus, cross, plus))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def check_real_embedding():
@@ -314,22 +328,22 @@ def check_real_embedding():
     So on four direction sets ``ks_pipeline``'s counts, verdict and
     coloring agree with the complex eigenray instance."""
     rng = np.random.default_rng(SEED + 10)
-    worst = 0.0
-
-    def residual(n, m):
-        basis_n = np.column_stack(sharp_eigenvectors(n))
-        basis_m = np.column_stack(sharp_eigenvectors(m))
-        overlap = np.abs(basis_n.conj().T @ basis_m) ** 2
-        return float(np.max(np.abs(overlap - _overlap_law(float(n @ m)))))
-
+    left, right, cosines = [], [], []  # one entry per pair (n, n')
     for _ in range(100):
         n = random_unit_vector(rng)
         m = random_unit_vector(rng)
-        worst = max(worst, residual(n, m))
+        partners = [m]
         # orthogonal pair: project m off n
         perp = m - (m @ n) * n
         if np.linalg.norm(perp) > 1e-6:
-            worst = max(worst, residual(n, perp / np.linalg.norm(perp)))
+            partners.append(perp / np.linalg.norm(perp))
+        basis_n = np.column_stack(sharp_eigenvectors(n))
+        for partner in partners:
+            left.append(basis_n)
+            right.append(np.column_stack(sharp_eigenvectors(partner)))
+            cosines.append(float(n @ partner))
+    overlap = np.abs(np.array(left).conj().swapaxes(-1, -2) @ np.array(right)) ** 2
+    worst = float(np.max(np.abs(overlap - _overlap_law(np.array(cosines)))))
     _, peres = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
     _, integer49 = formats.load_direction_file(formats.fixture_path("integer49_directions.json"))
     subset = [peres[i] for i in sorted(rng.choice(len(peres), size=20, replace=False))]

@@ -113,6 +113,26 @@ class TestAxialDensity:
         assert abs(split[1].sum() - (1.0 - np.cos(0.4))) < 1e-15
 
 
+@pytest.mark.parametrize("spec", [mis.QuadratureSpec(), mis.QuadratureSpec(24, 40)], ids=["64x64", "24x40"])
+@pytest.mark.parametrize("u_range", [(-1.0, 1.0), mis.UniformCap(0.7).support_u()], ids=["sphere", "cap"])
+@pytest.mark.parametrize("axis", [None, Z, -Z, sc.unit_from_polar(1.1, 0.4)], ids=["none", "z", "-z", "generic"])
+def test_sphere_grid_is_the_flat_product(spec, u_range, axis):
+    # the product grid equals, bit for bit, the grid built node by node:
+    # u repeated and phi tiled, trig on every node, then re-poled; a
+    # transposed product would fail the 24x40 spec
+    u, wu = mis._polar_rule(*u_range, spec.n_theta)
+    phi = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
+    u_all, phi_all = np.repeat(u, spec.n_phi), np.tile(phi, spec.n_theta)
+    st = np.sqrt(np.clip(1.0 - u_all * u_all, 0.0, None))
+    want = np.stack([st * np.cos(phi_all), st * np.sin(phi_all), u_all], axis=1)
+    if axis is not None:
+        theta_a, phi_a = sc.polar_from_unit(axis)
+        want = want @ sc.rotation_from_euler(phi_a, theta_a, 0.0).T
+    points, weights = mis.sphere_grid(spec, axis=axis, u_range=u_range)
+    assert np.array_equal(points, want)
+    assert np.array_equal(weights, np.repeat(wu, spec.n_phi) * (2.0 * np.pi / spec.n_phi))
+
+
 class TestSphereIntegralMatrix:
     def test_identity_times_area(self):
         out = mis.sphere_integral_matrix(identity, lambda m: np.ones(len(m)), mis.QuadratureSpec())

@@ -167,6 +167,30 @@ class TestRotations:
         assert max_abs(r.T @ r - np.eye(3)) < 1e-12
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
+    def test_angle_arrays_give_the_stack_of_rotations(self, rng):
+        # one builder: each matrix of the stack is bit for bit the rotation
+        # of its angles alone
+        angles = 2.0 * np.pi * rng.random((3, 20))
+        stack = sc.rotation_from_euler(*angles)
+        assert stack.shape == (20, 3, 3)
+        assert all(np.array_equal(stack[k], sc.rotation_from_euler(*angles[:, k])) for k in range(20))
+
+    def test_random_draws_in_blocks(self, rng):
+        r, n = sc.random_rotation(rng, 50), sc.random_unit_vector(rng, 50)
+        assert r.shape == (50, 3, 3) and n.shape == (50, 3)
+        assert max_abs(r.swapaxes(1, 2) @ r - np.eye(3)) < 1e-12
+        assert max_abs(np.linalg.det(r) - 1.0) < 1e-12
+        assert max_abs(np.linalg.norm(n, axis=1) - 1.0) < 1e-15
+
+    def test_block_redraws_short_rows(self):
+        class Rng:
+            draws = iter([np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 4.0]]), np.array([[0.0, 2.0, 0.0]])])
+
+            def standard_normal(self, shape):
+                return next(self.draws)
+
+        assert np.array_equal(sc.random_unit_vector(Rng(), 2), [[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
+
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError, match="orthogonal"):
             sc.wigner_d1(np.diag([1.0, 2.0, 1.0]))

@@ -12,6 +12,9 @@ Two kinds of test ride along under the same test function:
 - ``sat-recheck-independence`` re-validates the first-solution mode's SAT
   colorings with the independent checker, from outside the solver
   (``solver-vs-brute-force`` covers the count_all mode).
+
+A second test breaks the library function a sampled check guards, in
+``verify``'s namespace, and asserts that the check then fails.
 """
 
 import functools
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from unsharp_spin import crosscheck, formats, ks_solver, verify
+from unsharp_spin.spin_core import EffectTriple
 
 EFFECT_CLAIMS = {
     "effect-invariants": ("identity", "positivity", "eigenvalue sums"),
@@ -70,3 +74,56 @@ CHECKS = [
 def test_check(check):
     ok, detail = check()
     assert ok, detail
+
+
+def _projectors_swapped(sharp_projectors):
+    def mutant(n):
+        t = sharp_projectors(n)
+        return EffectTriple(t.direction, t.f_minus, t.f_zero, t.f_plus)
+
+    return mutant
+
+
+def _eigenvectors_swapped(sharp_eigenvectors):
+    def mutant(n):
+        plus, zero, minus = sharp_eigenvectors(n)
+        return zero, plus, minus
+
+    return mutant
+
+
+def _plus_scaled(sphere_effects):
+    def mutant(n, model):
+        t = sphere_effects(n, model)
+        return EffectTriple(t.direction, t.f_plus * (1.0 + 1e-6), t.f_zero, t.f_minus)
+
+    return mutant
+
+
+def _forward_convention(wigner_d1):
+    return lambda r: wigner_d1(r).conj().T
+
+
+def _reflected(sharp_projectors):
+    return lambda n: sharp_projectors(n * np.array([-1.0, 1.0, 1.0]))
+
+
+# id -> (check, function in verify's namespace, broken variant of it)
+MUTANTS = {
+    "projector-triples/P+ and P- swapped": ("projector-triples", "sharp_projectors", _projectors_swapped),
+    "projector-covariance/reflected direction": ("projector-covariance", "sharp_projectors", _reflected),
+    "projector-covariance/forward convention": ("projector-covariance", "wigner_d1", _forward_convention),
+    "effect-triples/F+ scaled by 1 + 1e-6": ("effect-triples", "sphere_effects", _plus_scaled),
+    "effect-triples/+1 and 0 eigenvectors swapped": ("effect-triples", "sharp_eigenvectors", _eigenvectors_swapped),
+    "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
+    "real-embedding/+1 and 0 eigenvectors swapped": ("real-embedding", "sharp_eigenvectors", _eigenvectors_swapped),
+}
+
+
+@pytest.mark.parametrize("check_name, target, mutate", list(MUTANTS.values()), ids=list(MUTANTS))
+def test_check_fails_on_broken_library(monkeypatch, check_name, target, mutate):
+    # each sampled check still catches a broken version of the library
+    # function it guards
+    monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
+    ok, detail = dict(verify.ALL_CHECKS)[check_name]()
+    assert not ok, detail
