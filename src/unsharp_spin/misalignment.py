@@ -211,13 +211,6 @@ def _repole(local: np.ndarray, axis) -> np.ndarray:
     return local @ rotation_from_euler(phi_a, theta_a, 0.0).T  # the rotation maps z to axis
 
 
-def points_about_axis(u, phi, axis) -> np.ndarray:
-    """Unit vectors at local polar coordinates (u = cos theta, phi) about
-    ``axis``, as an (N, 3) array."""
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return _repole(np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1), axis)
-
-
 def sphere_grid(
     spec: QuadratureSpec,
     axis=None,

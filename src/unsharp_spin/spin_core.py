@@ -146,11 +146,16 @@ def eigenvector_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of spin_along(n) for eigenvalues (+1, 0, -1).
 
-    The one-direction case of ``eigenvector_rows``, phase-canonicalized:
-    closed forms rather than a numerical eigensolve, so the vectors are
-    deterministic and orthonormal up to rounding.
+    ``n`` is one direction or an (N, 3) stack of them; on a stack each of
+    the three is (N, 3).  It is ``canonical_phase`` over the stacked
+    ``eigenvector_rows``: closed forms rather than a numerical eigensolve,
+    so the vectors are deterministic, orthonormal up to rounding, and each
+    row comes out bit for bit as it would alone.
     """
-    return tuple(canonical_phase(np.concatenate(eigenvector_rows(as_unit_vector(n)[None, :]))))
+    v = np.asarray(n, dtype=float)
+    units = as_unit_vector(v)[None, :] if v.ndim == 1 else as_unit_directions(v)
+    rows = canonical_phase(np.concatenate(eigenvector_rows(units))).reshape(3, *units.shape)
+    return tuple(rows[:, 0] if v.ndim == 1 else rows)
 
 
 @dataclass(frozen=True)
@@ -188,8 +193,15 @@ class EffectTriple:
 
 def sharp_projectors(n) -> EffectTriple:
     """Eigenprojectors |psi_i><psi_i| of spin_along(n) for i = +1, 0, -1:
-    idempotent, mutually orthogonal, and summing to the identity."""
-    return EffectTriple(as_unit_vector(n), *(np.outer(psi, psi.conj()) for psi in sharp_eigenvectors(n)))
+    idempotent, mutually orthogonal, and summing to the identity.
+
+    On an (N, 3) stack of directions the fields are stacks too: the
+    triple's direction is (N, 3) and each projector (N, 3, 3), row k as
+    ``sharp_projectors(n[k])`` gives it.
+    """
+    direction = np.array(n, dtype=float)
+    psis = sharp_eigenvectors(direction)
+    return EffectTriple(direction, *(psi[..., :, None] * psi[..., None, :].conj() for psi in psis))
 
 
 def rotation_z(angle) -> np.ndarray:
@@ -215,19 +227,25 @@ def rotation_from_euler(alpha, beta, gamma) -> np.ndarray:
 
 
 def as_rotation(r, name: str = "rotation") -> np.ndarray:
-    """Validate a proper rotation matrix (orthogonal, det +1)."""
+    """Validate a proper rotation matrix (orthogonal, det +1), or each of
+    an (N, 3, 3) stack at once; a stack's error names matrix k as
+    ``rotation[k]``."""
     m = np.asarray(r, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
-    if np.max(np.abs(m.T @ m - np.eye(3))) > ROTATION_TOL:
-        raise ValueError(f"{name} is not orthogonal within tolerance")
-    if abs(np.linalg.det(m) - 1.0) > ROTATION_TOL:
-        raise ValueError(f"{name} must have determinant +1")
+    if m.shape[-2:] != (3, 3) or m.ndim not in (2, 3):
+        raise ValueError(f"{name} must be a 3x3 matrix or an (N, 3, 3) stack, got shape {m.shape}")
+    # "not within" rather than "beyond", so a NaN entry fails too
+    bad = ~(np.max(np.abs(m.swapaxes(-1, -2) @ m - np.eye(3)), axis=(-2, -1)) <= ROTATION_TOL)
+    what = "is not orthogonal within tolerance"
+    if not bad.any():
+        bad, what = abs(np.linalg.det(m) - 1.0) > ROTATION_TOL, "must have determinant +1"
+    if bad.any():
+        raise ValueError(f"{name if m.ndim == 2 else f'{name}[{np.argmax(bad)}]'} {what}")
     return m
 
 
 def spin1_representation(r) -> np.ndarray:
-    """The spin-1 unitary of a rotation, U(R) = C R C^dag.
+    """The spin-1 unitary of a rotation, U(R) = C R C^dag; on an
+    (N, 3, 3) stack of rotations, the stack of their unitaries.
 
     Spin 1 is the vector representation: U(R) is the rotation matrix
     itself, carried into the (+1, 0, -1) basis by the fixed unitary C.
@@ -239,7 +257,8 @@ def spin1_representation(r) -> np.ndarray:
 
 
 def wigner_d1(r) -> np.ndarray:
-    """Spin-1 rotation unitary in the inverse-action convention.
+    """Spin-1 rotation unitary in the inverse-action convention; on an
+    (N, 3, 3) stack of rotations, the stack of them.
 
     Returns D(R) = U(R)^dag = C R^T C^dag, so that conjugation pulls a
     directional observable back along the rotation:
@@ -248,7 +267,7 @@ def wigner_d1(r) -> np.ndarray:
     composition order is reversed under this convention:
     D(R1 R2) = D(R2) D(R1).
     """
-    return spin1_representation(r).conj().T
+    return spin1_representation(r).conj().swapaxes(-1, -2)
 
 
 def random_unit_vector(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .misalignment import UniformCap, check_epsilon, points_about_axis
+from .misalignment import UniformCap, _repole, check_epsilon
 from .spin_core import (
     EffectTriple,
     as_unit_vector,
-    eigenvector_rows,
     sharp_eigenvectors,
     sharp_projectors,
+    spin_matrices,
 )
 
 AT = "AT"
@@ -209,14 +209,35 @@ def outcome_probabilities(psi, triple: EffectTriple) -> tuple[float, float, floa
     return probs[0], probs[1], probs[2]
 
 
+def _sharp_born(v, n, u, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Sharp Born probabilities (P_+1, P_0) of state ``v`` along each
+    direction at local polar coordinates (u = cos theta, phi) about ``n``.
+
+    With s_a = <v|S_a|v> and Q_ab = Re <v|S_a S_b|v>, the spin-1
+    projectors P_{m,+1} = ((m.S)^2 + m.S)/2 and P_{m,0} = I - (m.S)^2 give
+    P_+1 = (m^T Q m + m.s)/2 and P_0 = 1 - m^T Q m.  s and Q are rotated
+    into the local frame once, so m stays in local coordinates.
+    """
+    sv = np.stack(spin_matrices()) @ v  # row a: S_a v
+    frame = _repole(np.eye(3), n)  # rows: the local x, y and z = n axes
+    s = frame @ (sv @ v.conj()).real
+    q = frame @ (sv.conj() @ sv.T).real @ frame.T
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    m = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
+    mqm = np.einsum("ki,ki->k", m @ q, m)
+    return (mqm + m @ s) / 2.0, 1.0 - mqm
+
+
 def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, int]:
     """Stochastic realization of an unsharp measurement.
 
     Per trial, an actual direction m is drawn from the misalignment
     density about ``n`` and an outcome from the sharp Born probabilities
-    |<psi_{m,i}|psi>|^2.  Returns counts for outcomes (+1, 0, -1); the
-    counts sum to ``trials`` and are reproducible for a fixed seed
-    (draw order: cos-theta block, phi block, outcome block).
+    |<psi_{m,i}|psi>|^2, which are evaluated from the state's spin
+    moments (``_sharp_born``), not from eigenvectors of each m.  Returns
+    counts for outcomes (+1, 0, -1); the counts sum to ``trials`` and are
+    reproducible for a fixed seed (draw order: cos-theta block, phi
+    block, outcome block).
     """
     v = _pure_state(psi)
     if trials < 1:
@@ -224,10 +245,7 @@ def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, 
     n = as_unit_vector(n, "n")
 
     rng = np.random.default_rng(seed)
-    u_loc, phi_loc = model.sample_polar(rng, trials)
-    plus, zero, _ = eigenvector_rows(points_about_axis(u_loc, phi_loc, n))
-    p1 = np.abs(plus.conj() @ v) ** 2
-    p0 = np.abs(zero.conj() @ v) ** 2
+    p1, p0 = _sharp_born(v, n, *model.sample_polar(rng, trials))
     cum1 = p1
     cum2 = p1 + p0
     r = rng.random(trials)

@@ -33,6 +33,7 @@ from .spin_core import (
     spin1_representation,
     spin_along,
     spin_matrices,
+    unit_from_polar,
     wigner_d1,
 )
 from .unsharp_povm import (
@@ -61,12 +62,9 @@ def check_projector_triples():
     """Idempotence, mutual orthogonality, completeness, spectral sum, and
     P_+ + P_- = (n.S)^2, the identity ``sphere_effects`` integrates by."""
     rng = np.random.default_rng(SEED)
-    ps, s_n = [], []
-    for _ in range(100):
-        n = random_unit_vector(rng)
-        ps.append(sharp_projectors(n).as_tuple())
-        s_n.append(spin_along(n))
-    ps, s_n = np.array(ps), np.array(s_n)  # (draw, outcome, 3, 3), (draw, 3, 3)
+    n = np.array([random_unit_vector(rng) for _ in range(100)])
+    ps = np.stack(sharp_projectors(n).as_tuple(), axis=1)  # (draw, outcome, 3, 3)
+    s_n = np.array([spin_along(m) for m in n])
     plus, minus = ps[:, 0], ps[:, 2]
     residuals = (
         ps.sum(axis=1) - np.eye(3),
@@ -83,26 +81,25 @@ def check_rotation_composition():
     """The spin-1 unitaries compose: forward for the representation, in
     reversed order for the inverse-action convention."""
     rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for _ in range(100):
-        r1, r2 = random_rotation(rng), random_rotation(rng)
-        forward = spin1_representation(r1 @ r2) - spin1_representation(r1) @ spin1_representation(r2)
-        reversed_ = wigner_d1(r1 @ r2) - wigner_d1(r2) @ wigner_d1(r1)
-        worst = max(worst, float(np.linalg.norm(forward)), float(np.linalg.norm(reversed_)))
+    pairs = np.array([(random_rotation(rng), random_rotation(rng)) for _ in range(100)])  # (draw, 2, 3, 3)
+    r1, r2 = pairs[:, 0], pairs[:, 1]
+    forward = spin1_representation(r1 @ r2) - spin1_representation(r1) @ spin1_representation(r2)
+    reversed_ = wigner_d1(r1 @ r2) - wigner_d1(r2) @ wigner_d1(r1)
+    worst = float(np.max(np.linalg.norm(np.stack([forward, reversed_]), axis=(-2, -1))))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
 
 def check_projector_covariance():
     """D(R) P_m D(R)^-1 = P_{R^-1 m} over random rotations/directions."""
     rng = np.random.default_rng(SEED + 2)
-    d, original, rotated = [], [], []
+    r, m, pulled = [], [], []  # pulled: R^-1 m
     for _ in range(100):
-        r = random_rotation(rng)
-        m = random_unit_vector(rng)
-        d.append(wigner_d1(r))
-        rotated.append(sharp_projectors(r.T @ m).as_tuple())
-        original.append(sharp_projectors(m).as_tuple())
-    worst = _conjugation_residual(np.array(d), np.array(original), np.array(rotated))
+        r.append(random_rotation(rng))
+        m.append(random_unit_vector(rng))
+        pulled.append(r[-1].T @ m[-1])
+    # one call on [m..., R^-1 m...]: (draw, outcome, 3, 3) per half
+    ps = np.stack(sharp_projectors(np.array(m + pulled)).as_tuple(), axis=1)
+    worst = _conjugation_residual(wigner_d1(np.array(r)), ps[:100], ps[100:])
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
 
@@ -246,20 +243,20 @@ def effect_triple_residuals() -> dict[str, float]:
     draws.  Covariance compares F_n and F_{R^-1 n}; every other property
     is measured on both triples of each pair."""
     rng = np.random.default_rng(SEED + 6)
-    d, fs, bases, want = [], [], [], []
+    r, directions, fs, want = [], [], [], []
     for _ in range(100):
         n = random_unit_vector(rng)
         eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
-        r = random_rotation(rng)
+        r.append(random_rotation(rng))
         model, alphas = UniformCap(eps), alphas_uniform_cap(eps)
-        d.append(wigner_d1(r))
-        for triple in (sphere_effects(n, model), sphere_effects(r.T @ n, model)):
+        for triple in (sphere_effects(n, model), sphere_effects(r[-1].T @ n, model)):
+            directions.append(triple.direction)
             fs.append(triple.as_tuple())
-            bases.append(np.column_stack(sharp_eigenvectors(triple.direction)))
             want.append([alphas.spectrum(i) for i in (1, 0, -1)])
     fs = np.array(fs)  # (triple, outcome, 3, 3): F_n, then F_{R^-1 n}, per draw
-    cov = _conjugation_residual(np.array(d), fs[0::2], fs[1::2])
-    return dict(zip(EFFECT_TOLERANCES, (*_triple_residuals(fs, np.array(bases), np.array(want)), cov)))
+    bases = np.stack(sharp_eigenvectors(np.array(directions)), axis=-1)  # eigenvectors as columns
+    cov = _conjugation_residual(wigner_d1(np.array(r)), fs[0::2], fs[1::2])
+    return dict(zip(EFFECT_TOLERANCES, (*_triple_residuals(fs, bases, np.array(want)), cov)))
 
 
 def check_effect_triples():
@@ -298,10 +295,12 @@ def check_alpha_orderings():
 
 
 def check_simulator_consistency():
-    """Simulated frequencies match analytic probabilities within 4 sigma."""
-    n = np.array([0.0, 0.0, 1.0])
+    """Simulated frequencies match analytic probabilities within 4 sigma,
+    for a complex state off the z-axis with p_+ != p_-, so the sign of the
+    m.s term, the local frame and the outcome labels all show."""
+    n = unit_from_polar(0.7, 1.3)
     model = UniformCap(0.4)
-    psi = np.array([0, 1, 0], dtype=complex)
+    psi = np.array([0.6, 0.8j, 0.0])
     trials = 200_000
     counts = simulate_outcomes(psi, n, model, trials, seed=SEED + 9)
     probs = outcome_probabilities(psi, effects(n, model))
@@ -328,21 +327,22 @@ def check_real_embedding():
     So on four direction sets ``ks_pipeline``'s counts, verdict and
     coloring agree with the complex eigenray instance."""
     rng = np.random.default_rng(SEED + 10)
-    left, right, cosines = [], [], []  # one entry per pair (n, n')
-    for _ in range(100):
+    ns, owner, partners, cosines = [], [], [], []  # the last three: one entry per pair (n, n')
+    for k in range(100):
         n = random_unit_vector(rng)
         m = random_unit_vector(rng)
-        partners = [m]
+        ns.append(n)
+        n_partners = [m]
         # orthogonal pair: project m off n
         perp = m - (m @ n) * n
         if np.linalg.norm(perp) > 1e-6:
-            partners.append(perp / np.linalg.norm(perp))
-        basis_n = np.column_stack(sharp_eigenvectors(n))
-        for partner in partners:
-            left.append(basis_n)
-            right.append(np.column_stack(sharp_eigenvectors(partner)))
+            n_partners.append(perp / np.linalg.norm(perp))
+        for partner in n_partners:
+            owner.append(k)
+            partners.append(partner)
             cosines.append(float(n @ partner))
-    overlap = np.abs(np.array(left).conj().swapaxes(-1, -2) @ np.array(right)) ** 2
+    bases = np.stack(sharp_eigenvectors(np.array(ns + partners)), axis=-1)  # eigenvectors as columns
+    overlap = np.abs(bases[owner].conj().swapaxes(-1, -2) @ bases[len(ns):]) ** 2
     worst = float(np.max(np.abs(overlap - _overlap_law(np.array(cosines)))))
     _, peres = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
     _, integer49 = formats.load_direction_file(formats.fixture_path("integer49_directions.json"))

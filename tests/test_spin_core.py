@@ -292,3 +292,62 @@ class TestCanonicalPhase:
     def test_stack_rejects_a_zero_row(self):
         with pytest.raises(ValueError, match=r"^rays\[1\] is a zero vector$"):
             sc.canonical_phase([[1, 0, 0], [0, 0, 0]])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStacks:
+    # each stacked call gives every row bit for bit what the one-row call does
+
+    def test_eigenvectors_and_projectors_match_row_by_row(self, rng):
+        near_pole = [2e-16, 2.3e-16, 1.0]
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], near_pole, [1.0, 0.0, 0.0]]
+                        + list(sc.random_unit_vector(rng, 60)))
+        stacked = sc.sharp_eigenvectors(dirs)
+        rows = [sc.sharp_eigenvectors(n) for n in dirs]
+        for i in range(3):
+            assert stacked[i].shape == (len(dirs), 3)
+            np.testing.assert_array_equal(_bits(stacked[i]), _bits([row[i] for row in rows]))
+        triple = sc.sharp_projectors(dirs)
+        singles = [sc.sharp_projectors(n) for n in dirs]
+        np.testing.assert_array_equal(_bits(triple.direction), _bits([t.direction for t in singles]))
+        for outcome in (1, 0, -1):
+            assert triple.effect(outcome).shape == (len(dirs), 3, 3)
+            np.testing.assert_array_equal(
+                _bits(triple.effect(outcome)), _bits([t.effect(outcome) for t in singles])
+            )
+
+    def test_projectors_leave_the_callers_stack_writable(self, rng):
+        dirs = sc.random_unit_vector(rng, 4)
+        sc.sharp_projectors(dirs)
+        dirs[0] = dirs[1]
+
+    def test_unitaries_match_row_by_row(self, rng):
+        rotations = np.concatenate([np.eye(3)[None], sc.rotation_y(np.pi)[None], sc.random_rotation(rng, 40)])
+        for f in (sc.spin1_representation, sc.wigner_d1):
+            stacked = f(rotations)
+            assert stacked.shape == (len(rotations), 3, 3)
+            np.testing.assert_array_equal(_bits(stacked), _bits([f(r) for r in rotations]))
+
+    def test_eigenvector_stack_names_a_non_unit_row(self):
+        with pytest.raises(ValueError, match=r"^directions\[1\] must be a unit vector"):
+            sc.sharp_eigenvectors([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+
+    def test_rotation_stack_names_the_failing_row(self, rng):
+        good = sc.random_rotation(rng, 3)
+        skew, reflection = np.diag([1.0, 2.0, 1.0]), np.diag([1.0, 1.0, -1.0])
+        # orthogonality is checked over the whole stack first, then the determinant
+        with pytest.raises(ValueError, match=r"^rotation\[2\] is not orthogonal within tolerance$"):
+            sc.wigner_d1(np.stack([good[0], reflection, skew, good[1]]))
+        with pytest.raises(ValueError, match=r"^rotation\[3\] must have determinant \+1$"):
+            sc.spin1_representation(np.stack([*good, reflection]))
+        with pytest.raises(ValueError, match="3x3 matrix"):
+            sc.as_rotation(np.zeros((2, 2, 3, 3)))
+
+    def test_rotation_with_a_nan_entry_is_rejected(self):
+        m = np.eye(3)
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError, match="orthogonal"):
+            sc.as_rotation(m)

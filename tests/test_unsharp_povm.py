@@ -339,6 +339,51 @@ class TestSimulation:
             assert abs(c / trials - prob) < 5 * sigma
 
 
+@pytest.fixture
+def kinked(tmp_path):
+    # the kinked table of the CI simulate case
+    path = tmp_path / "kinked.json"
+    path.write_text(json.dumps({"epsilon": 0.4, "profile": [[0, 1], [0.2, 0.5], [0.4, 1]]}))
+    return formats.load_profile_file(path)
+
+
+def eigenvector_born(v, n, u, phi):
+    """Oracle for ``up._sharp_born``: |<psi_{m,i}|v>|^2 from the closed-form
+    eigenvectors of each sampled direction m, re-poled about ``n``."""
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    points = mis._repole(np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1), n)
+    plus, zero, _ = sc.eigenvector_rows(points)
+    return np.abs(plus.conj() @ v) ** 2, np.abs(zero.conj() @ v) ** 2
+
+
+class TestSimulationMoments:
+    def test_moments_match_the_eigenvector_oracle(self, rng, kinked):
+        models = [kinked, mis.UniformCap(np.pi)]
+        models += [mis.UniformCap(eps) for eps in 0.01 + 3.0 * rng.random(4)]
+        directions = [Z, -Z, *sc.random_unit_vector(rng, 4)]
+        worst = 0.0
+        for model in models:
+            for n in directions:
+                v = rng.normal(size=3) + 1j * rng.normal(size=3)
+                v /= np.linalg.norm(v)
+                u, phi = model.sample_polar(rng, 2000)
+                got, want = up._sharp_born(v, n, u, phi), eigenvector_born(v, n, u, phi)
+                worst = max(worst, max_abs(np.subtract(got, want)))
+        assert worst <= 1e-14
+
+    def test_ci_kinked_table_counts(self, kinked):
+        # the CLI case the CI workflow diffs across processes
+        psi = np.array([0.5 + 0.5j, 0.0, 0.70710678])
+        psi /= float(np.linalg.norm(psi))
+        n = sc.unit_from_polar(0.7, 1.3)
+        counts = up.simulate_outcomes(psi, n, kinked, 20_000, seed=3)
+        assert counts == (6082, 8055, 5863)
+
+    def test_readme_example_counts(self):
+        psi = np.array([0, 1, 0], dtype=complex)
+        assert up.simulate_outcomes(psi, Z, mis.UniformCap(0.4), 10**6, seed=7) == (38356, 923078, 38566)
+
+
 class TestColorAssignment:
     def test_outcome_zero_at_z(self):
         a = up.alphas_uniform_cap(0.4)

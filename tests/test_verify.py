@@ -101,7 +101,16 @@ def _plus_scaled(sphere_effects):
 
 
 def _forward_convention(wigner_d1):
-    return lambda r: wigner_d1(r).conj().T
+    # swapaxes, not .T: the checks pass wigner_d1 a stack of rotations
+    return lambda r: wigner_d1(r).conj().swapaxes(-1, -2)
+
+
+def _plus_minus_counts_swapped(simulate_outcomes):
+    def mutant(*args, **kwargs):
+        n_plus, n_zero, n_minus = simulate_outcomes(*args, **kwargs)
+        return n_minus, n_zero, n_plus
+
+    return mutant
 
 
 def _reflected(sharp_projectors):
@@ -116,6 +125,9 @@ MUTANTS = {
     "effect-triples/F+ scaled by 1 + 1e-6": ("effect-triples", "sphere_effects", _plus_scaled),
     "effect-triples/+1 and 0 eigenvectors swapped": ("effect-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
+    "simulator-consistency/+1 and -1 counts swapped": (
+        "simulator-consistency", "simulate_outcomes", _plus_minus_counts_swapped
+    ),
     "real-embedding/+1 and 0 eigenvectors swapped": ("real-embedding", "sharp_eigenvectors", _eigenvectors_swapped),
 }
 
