@@ -10,7 +10,7 @@ exists.  This package builds the effects, verifies their algebra, and
 proves the non-colorability exhaustively.
 """
 
-from .crosscheck import brute_force_colorings, check_coloring, dpll_solve
+from .crosscheck import check_coloring
 from .formats import (
     dumps_report,
     fixture_path,
@@ -29,28 +29,17 @@ from .ks_solver import (
     SolveResult,
     build_graph,
     canonicalize_and_dedupe,
-    eigenray_set,
     ks_pipeline,
     solve_coloring,
 )
-from .misalignment import (
-    AxialDensity,
-    QuadratureSpec,
-    UniformCap,
-    cap_area,
-    density_covariance_witness,
-    sphere_integral_matrix,
-)
+from .misalignment import AxialDensity, UniformCap, cap_area
 from .spin_core import (
     EffectTriple,
-    canonical_phase,
-    rotation_from_euler,
     sharp_eigenvectors,
     sharp_projectors,
     spin_along,
     spin_matrices,
     unit_from_polar,
-    wigner_d1,
 )
 from .unsharp_povm import (
     AF,
@@ -82,43 +71,34 @@ __all__ = [
     "KS_CONTRADICTION",
     "KsInstance",
     "KsReport",
-    "QuadratureSpec",
     "SolveResult",
     "U",
     "UniformCap",
     "alphas_axial",
     "alphas_for_model",
     "alphas_uniform_cap",
-    "brute_force_colorings",
     "build_graph",
-    "canonical_phase",
     "canonicalize_and_dedupe",
     "cap_area",
     "check_coloring",
     "color_assignment",
     "condition2_check",
-    "density_covariance_witness",
-    "dpll_solve",
     "dumps_report",
     "effects",
     "effects_from_alphas",
-    "eigenray_set",
     "fixture_path",
     "ks_pipeline",
     "load_direction_file",
     "load_profile_file",
     "load_ray_file",
     "outcome_probabilities",
-    "rotation_from_euler",
     "save_direction_file",
     "sharp_eigenvectors",
     "sharp_projectors",
     "simulate_outcomes",
     "solve_coloring",
-    "sphere_integral_matrix",
     "spin_along",
     "spin_matrices",
     "threshold_epsilon",
     "unit_from_polar",
-    "wigner_d1",
 ]

@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, formats, verify
+from . import __version__, formats
 from .ks_solver import ks_pipeline
 from .misalignment import UniformCap
 from .spin_core import unit_from_polar
@@ -274,6 +274,8 @@ def cmd_ks_check(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from . import verify  # only this command loads the suite
+
     ok, results = verify.run_verification(stream=out)
     passed = sum(1 for r in results if r["ok"])
     out.write(f"{passed}/{len(results)} properties passed\n")

@@ -22,13 +22,11 @@ import numpy as np
 
 from .crosscheck import check_coloring
 from .spin_core import as_unit_directions, canonical_phase, eigenvector_rows
-from .unsharp_povm import AF, AT, Alphas, alphas_for_model, condition2_check
+from .unsharp_povm import AF, AT, Alphas, alphas_for_model, color_assignment, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
 ORTHO_TOL = 1e-9              # |<u,v>| at or below this means "orthogonal"
 OVERLAP_BLOCK_ROWS = 64       # rows of |R Rᴴ| held at a time
-# colors of a direction's +1, 0 and -1 eigenrays, by the direction's color
-_EIGENRAY_COLORS = {AT: (AF, AT, AF), AF: (AT, AF, AF)}
 
 KS_CONTRADICTION = "KS_CONTRADICTION"
 CONDITION2_FAILED = "CONDITION2_FAILED"
@@ -471,6 +469,11 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
     (a unit vector is a ray): with one private tripod per direction this
     is the eigenray instance, of 3N' rays, 3N' + E pairs and N' + T
     tripods for N' directions, E orthogonal pairs and T orthogonal triads.
+    A coloring of the directions is lifted onto their eigenrays by the one
+    color rule, ``color_assignment``: a direction's 0-ray takes its color,
+    so an AT direction's rays get the colors after outcome 0 and an AF
+    direction's those after outcome +1; under a passing condition these
+    are (AF, AT, AF) and (AT, AF, AF) on the (+1, 0, -1) rays.
     """
     units = as_unit_directions(directions)
     alphas = alphas_for_model(model)
@@ -482,10 +485,11 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
         counts = (3 * kept, 3 * kept + len(graph.ortho_pairs), kept + len(graph.tripods))
         result = solve_coloring(graph, mode="first_solution")
         if result.is_sat:  # rays 3d, 3d+1, 3d+2: the +1, 0, -1 rays of direction d
+            lift = {AT: color_assignment(alphas, delta, 0), AF: color_assignment(alphas, delta, 1)}
             coloring = {
                 3 * d + k: ray_color
                 for d, color in result.coloring.items()
-                for k, ray_color in enumerate(_EIGENRAY_COLORS[color])
+                for k, ray_color in enumerate(lift[color])
             }
             result = replace(result, coloring=coloring)
         conclusion = COLORABLE if result.is_sat else KS_CONTRADICTION

@@ -15,16 +15,17 @@ are taken in theta, not cos(theta): a profile with a term linear in theta
 has a square-root kink in cos(theta) at the axis, where Gauss-Legendre in
 cos(theta) converges only algebraically.
 
-``sphere_integral_matrix`` is a product rule on the sphere, the same
-theta rule restricted to a band times a uniform periodic trapezoid in phi.
-The library's effects do not use it; ``verify`` integrates the effects on
-it as the oracle for their closed form.
+``sphere_integral_matrix`` is a product rule on the sphere with one
+setting, ``nodes``: the same theta rule restricted to a band times a
+uniform periodic trapezoid in phi, ``nodes`` of each.  The library's
+effects do not use it; ``verify`` integrates the effects on it as the
+oracle for their closed form, and checks the covariance above on
+sampled rotations (``density-covariance``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,24 +188,6 @@ class AxialDensity(_AxialModel):
         return f"axial(epsilon={self.epsilon!r}, profile={name})"
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts for the product quadrature: Gauss-Legendre in theta by
-    ``n_theta`` and periodic trapezoid in phi by ``n_phi``."""
-
-    n_theta: int = 64
-    n_phi: int = 64
-
-    def __post_init__(self):
-        if self.n_theta < 1:
-            raise ValueError(f"n_theta must be >= 1, got {self.n_theta}")
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be >= 1, got {self.n_phi}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
 def _repole(local: np.ndarray, axis) -> np.ndarray:
     # (N, 3) local vectors carried to the frame whose z-axis is ``axis``
     theta_a, phi_a = polar_from_unit(axis)
@@ -212,34 +195,37 @@ def _repole(local: np.ndarray, axis) -> np.ndarray:
 
 
 def sphere_grid(
-    spec: QuadratureSpec,
+    nodes: int = 64,
     axis=None,
     u_range: tuple[float, float] = (-1.0, 1.0),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes on (part of) the sphere.
+    """Quadrature nodes on (part of) the sphere: Gauss-Legendre in theta
+    and a periodic trapezoid in phi, ``nodes`` of each.
 
     Returns (N, 3) unit vectors and (N,) weights summing to the area of
     the u-band, u the cosine from ``axis`` (the z-axis when None).  Nodes
-    run phi-fastest: node k has the (k // n_phi)-th theta node and the
-    (k % n_phi)-th phi node.  The grid is the theta x phi product, so the
-    transcendentals are taken on the n_theta + n_phi factors alone.
+    run phi-fastest: node k has the (k // nodes)-th theta node and the
+    (k % nodes)-th phi node.  The grid is the theta x phi product, so the
+    transcendentals are taken on the 2 * nodes factors alone.
     """
-    u, wu = _polar_rule(u_range[0], u_range[1], spec.n_theta)
-    phi = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
+    if nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
+    u, wu = _polar_rule(u_range[0], u_range[1], nodes)
+    phi = 2.0 * np.pi * np.arange(nodes) / nodes
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    local = np.empty((spec.n_theta, spec.n_phi, 3))
+    local = np.empty((nodes, nodes, 3))
     local[:, :, 0] = st[:, None] * np.cos(phi)
     local[:, :, 1] = st[:, None] * np.sin(phi)
     local[:, :, 2] = u[:, None]
     local = local.reshape(-1, 3)
-    weights = np.repeat(wu * (2.0 * np.pi / spec.n_phi), spec.n_phi)
+    weights = np.repeat(wu * (2.0 * np.pi / nodes), nodes)
     return (local if axis is None else _repole(local, axis)), weights
 
 
 def sphere_integral_matrix(
     f,
     weight,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    nodes: int = 64,
     axis=None,
     u_range: tuple[float, float] = (-1.0, 1.0),
 ) -> np.ndarray:
@@ -247,30 +233,14 @@ def sphere_integral_matrix(
 
     Batched: ``f`` maps the (N, 3) array of unit nodes to an (N, ...)
     array of values and ``weight`` maps it to (N,) weights, any negative
-    one a ValueError; the result has shape (...).  The nodes are fixed
-    by the spec and the sum is one tensor contraction, so results are
-    bit-stable.  ``axis`` and ``u_range`` restrict integration to a band
-    around an axis (e.g. the support of a cap density).
+    one a ValueError; the result has shape (...).  The nodes are those of
+    ``sphere_grid(nodes, axis, u_range)`` and the sum is one tensor
+    contraction, so results are bit-stable.  ``axis`` and ``u_range``
+    restrict integration to a band around an axis (e.g. the support of a
+    cap density).
     """
-    points, weights = sphere_grid(spec, axis=axis, u_range=u_range)
+    points, weights = sphere_grid(nodes, axis=axis, u_range=u_range)
     wv = np.asarray(weight(points), dtype=float)
     if np.any(wv < 0.0):
         raise ValueError("weight function returned a negative value")
     return np.tensordot(weights * wv, np.asarray(f(points)), axes=1)
-
-
-def density_covariance_witness(model, samples: int, seed: int = 0) -> float:
-    """Largest observed violation of w_n(R m) = w_{R^-1 n}(m).
-
-    Samples random rotations and direction pairs; axially symmetric models
-    give a witness at rounding level.  Exposed as a diagnostic; the models
-    in this module satisfy covariance by construction.
-    """
-    from .spin_core import random_rotation, random_unit_vector
-
-    rng = np.random.default_rng(seed)
-    r, n, m = random_rotation(rng, samples), random_unit_vector(rng, samples), random_unit_vector(rng, samples)
-    # each side rotates its own argument first, as w_n(R m) and w_{R^-1 n}(m) read
-    lhs_cos = np.einsum("ki,ki->k", n, np.einsum("kij,kj->ki", r, m))
-    rhs_cos = np.einsum("ki,ki->k", np.einsum("kji,kj->ki", r, n), m)
-    return float(np.max(np.abs(model.density(lhs_cos) - model.density(rhs_cos)), initial=0.0))

@@ -243,31 +243,21 @@ def as_rotation(r, name: str = "rotation") -> np.ndarray:
     return m
 
 
-def spin1_representation(r) -> np.ndarray:
-    """The spin-1 unitary of a rotation, U(R) = C R C^dag; on an
-    (N, 3, 3) stack of rotations, the stack of their unitaries.
-
-    Spin 1 is the vector representation: U(R) is the rotation matrix
-    itself, carried into the (+1, 0, -1) basis by the fixed unitary C.
-    It is the genuine (single-valued) representation,
-    U(R1 R2) = U(R1) U(R2), and since C L_a C^dag = S_a it acts on
-    directional observables as U(R) S_n U(R)^dag = S_{R n}.
-    """
-    return _C @ as_rotation(r) @ _C.conj().T
-
-
 def wigner_d1(r) -> np.ndarray:
     """Spin-1 rotation unitary in the inverse-action convention; on an
     (N, 3, 3) stack of rotations, the stack of them.
 
-    Returns D(R) = U(R)^dag = C R^T C^dag, so that conjugation pulls a
-    directional observable back along the rotation:
-    D(R) S_m D(R)^{-1} = S_{R^{-1} m}, and likewise for the
-    eigenprojectors and the unsharp effects built from them.  Note the
-    composition order is reversed under this convention:
+    Returns D(R) = U(R)^dag, where U(R) = C R C^dag is the spin-1
+    representation: the rotation matrix itself carried into the
+    (+1, 0, -1) basis by the fixed unitary C, so U(R1 R2) = U(R1) U(R2)
+    and, since C L_a C^dag = S_a, U(R) S_n U(R)^dag = S_{R n}.
+    Conjugation by D(R) therefore pulls a directional observable back
+    along the rotation: D(R) S_m D(R)^{-1} = S_{R^{-1} m}, and likewise
+    for the eigenprojectors and the unsharp effects built from them.  Note
+    the composition order is reversed under this convention:
     D(R1 R2) = D(R2) D(R1).
     """
-    return spin1_representation(r).conj().swapaxes(-1, -2)
+    return (_C @ as_rotation(r) @ _C.conj().T).conj().swapaxes(-1, -2)
 
 
 def random_unit_vector(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -10,7 +10,8 @@ a1..a4.  This module evaluates a1..a4 (in closed form for the uniform
 cap, by the model's 1-D axial rule otherwise), builds the effects from
 them and the sharp eigenprojectors of n, locates the unsharpness
 threshold, and implements outcome probabilities, outcome simulation, and
-the threshold-based AT/AF/U ray coloring.  The spherical average itself
+the one AT/AF/U threshold color rule of the eigenrays, which
+``ks_pipeline`` lifts direction colors with.  The spherical average itself
 is integrated only in ``verify.sphere_effects``, the oracle that
 establishes this construction.
 """
@@ -22,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .misalignment import UniformCap, _repole, check_epsilon
-from .spin_core import (
-    EffectTriple,
-    as_unit_vector,
-    sharp_eigenvectors,
-    sharp_projectors,
-    spin_matrices,
-)
+from .spin_core import EffectTriple, as_unit_vector, sharp_projectors, spin_matrices
 
 AT = "AT"
 AF = "AF"
@@ -254,29 +249,17 @@ def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, 
     return n_plus, n_zero, trials - n_plus - n_zero
 
 
-def color_assignment(n, alphas: Alphas, delta: float, outcome: int):
-    """Threshold coloring of the shared eigenrays after an outcome.
+def color_assignment(alphas: Alphas, delta: float, outcome: int) -> tuple[str, str, str]:
+    """Threshold colors of the (+1, 0, -1) eigenrays after an outcome.
 
-    The three rays are the sharp eigenrays of the direction (the unsharp
-    effects share them; the outcome-0 effect is degenerate, so the sharp
-    triple is the deterministic choice of eigenbasis).  A ray whose
-    eigenvalue under the realized effect is at least 1 - delta is colored
-    AT, at most delta AF, and anything between gets the noncommittal U.
-
-    Returns a list of (ray, color) pairs in eigenvalue order (+1, 0, -1).
+    This is the one color rule.  The rays are the sharp eigenrays of the
+    direction (``sharp_eigenvectors``): the unsharp effects share them,
+    and since the outcome-0 effect is degenerate, the sharp triple is the
+    deterministic choice of eigenbasis.  A ray whose eigenvalue under the outcome's effect is at least
+    1 - delta is colored AT, at most delta AF, and anything between gets
+    the noncommittal U.
     """
     delta = check_delta(delta)
     if outcome not in (1, 0, -1):
         raise ValueError(f"outcome must be one of 1, 0, -1, got {outcome}")
-    rays = sharp_eigenvectors(n)
-    spectrum = alphas.spectrum(outcome)
-    assignment = []
-    for ray, value in zip(rays, spectrum):
-        if value >= 1.0 - delta:
-            color = AT
-        elif value <= delta:
-            color = AF
-        else:
-            color = U
-        assignment.append((ray, color))
-    return assignment
+    return tuple(AT if v >= 1.0 - delta else AF if v <= delta else U for v in alphas.spectrum(outcome))

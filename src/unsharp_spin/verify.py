@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import crosscheck, formats, ks_solver
-from .misalignment import DEFAULT_QUADRATURE, AxialDensity, QuadratureSpec, UniformCap, sphere_integral_matrix
+from .misalignment import AxialDensity, UniformCap, sphere_integral_matrix
 from .spin_core import (
     EffectTriple,
     as_unit_vector,
@@ -30,7 +30,6 @@ from .spin_core import (
     random_unit_vector,
     sharp_eigenvectors,
     sharp_projectors,
-    spin1_representation,
     spin_along,
     spin_matrices,
     unit_from_polar,
@@ -83,8 +82,10 @@ def check_rotation_composition():
     rng = np.random.default_rng(SEED + 1)
     pairs = np.array([(random_rotation(rng), random_rotation(rng)) for _ in range(100)])  # (draw, 2, 3, 3)
     r1, r2 = pairs[:, 0], pairs[:, 1]
-    forward = spin1_representation(r1 @ r2) - spin1_representation(r1) @ spin1_representation(r2)
-    reversed_ = wigner_d1(r1 @ r2) - wigner_d1(r2) @ wigner_d1(r1)
+    d12, d1, d2 = wigner_d1(np.concatenate([r1 @ r2, r1, r2])).reshape(3, -1, 3, 3)
+    u12, u1, u2 = (d.conj().swapaxes(-1, -2) for d in (d12, d1, d2))  # U(R) = D(R)^dag
+    forward = u12 - u1 @ u2
+    reversed_ = d12 - d2 @ d1
     worst = float(np.max(np.linalg.norm(np.stack([forward, reversed_]), axis=(-2, -1))))
     return worst <= 1e-10, f"max residual {worst:.3e} (tol 1e-10)"
 
@@ -106,20 +107,18 @@ def check_projector_covariance():
 def check_density_normalization():
     """Model densities integrate to 1 over the sphere."""
     worst = 0.0
-    spec = QuadratureSpec()
     for eps in EPS_GRID:
         for model in (UniformCap(eps), AxialDensity(eps, _cap_profile)):
             mass = sphere_integral_matrix(
                 lambda m: np.broadcast_to(np.eye(3), (len(m), 3, 3)),
                 lambda m, model=model: model.density(m[:, 2]),
-                spec,
                 u_range=model.support_u(),
             )
             worst = max(worst, float(np.max(np.abs(mass - np.eye(3)))))
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 
 
-def sphere_effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> EffectTriple:
+def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
     """The effect triple for direction ``n`` by spherical quadrature: the
     oracle for ``unsharp_povm.effects``.
 
@@ -127,13 +126,13 @@ def sphere_effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Effec
     misalignment density w_n(m).  Since m.S has eigenvalues {1, 0, -1},
     P_{m,+1} = ((m.S)^2 + m.S)/2, P_{m,0} = I - (m.S)^2 and
     P_{m,-1} = ((m.S)^2 - m.S)/2, so one ``sphere_integral_matrix`` call
-    integrates only the first and second moments mu = int w m and
-    M = int w m m^T, and the effects follow exactly from
-    int w m.S = sum_a mu_a S_a, int w (m.S)^2 = sum_ab M_ab S_a S_b and the
-    mass tr M.  The grid is re-poled around ``n`` and restricted to the
-    density's support, where the moments are low-degree trigonometric
-    polynomials; the default spec is therefore exact to rounding for the
-    uniform cap.  Nothing here assumes the triple is diagonal in the sharp
+    on ``nodes`` theta by ``nodes`` phi nodes integrates only the first
+    and second moments mu = int w m and M = int w m m^T, and the effects
+    follow exactly from int w m.S = sum_a mu_a S_a,
+    int w (m.S)^2 = sum_ab M_ab S_a S_b and the mass tr M.  The grid is
+    re-poled around ``n`` and restricted to the density's support, where
+    the moments are low-degree trigonometric polynomials; the default 64
+    nodes are therefore exact to rounding for the uniform cap.  Nothing here assumes the triple is diagonal in the sharp
     eigenbasis, so the checks that find it so establish the closed form.
     """
     n = as_unit_vector(n, "n")
@@ -146,7 +145,7 @@ def sphere_effects(n, model, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Effec
         return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
 
     moment = sphere_integral_matrix(
-        moments, lambda m: model.density(m @ n), spec, axis=n, u_range=model.support_u()
+        moments, lambda m: model.density(m @ n), nodes, axis=n, u_range=model.support_u()
     )
     mu, big_m = moment[0], moment[1:]
     linear = np.tensordot(mu, _S, axes=1)  # int w m.S
@@ -161,8 +160,8 @@ def check_quadrature_stability():
     worst = 0.0
     for eps in (0.1, 0.459, 1.0):
         model = UniformCap(eps)
-        coarse = sphere_effects(np.array([0.0, 0.0, 1.0]), model, QuadratureSpec(64, 64))
-        fine = sphere_effects(np.array([0.0, 0.0, 1.0]), model, QuadratureSpec(128, 128))
+        coarse = sphere_effects(np.array([0.0, 0.0, 1.0]), model, 64)
+        fine = sphere_effects(np.array([0.0, 0.0, 1.0]), model, 128)
         for i in (1, 0, -1):
             worst = max(worst, float(np.max(np.abs(coarse.effect(i) - fine.effect(i)))))
     return worst <= 1e-8, f"max change {worst:.3e} (tol 1e-8)"
@@ -176,20 +175,23 @@ def check_measure_rotation_invariance():
     def f(m):
         return m[:, :, None] * m[:, None, :] * (1.0 + m[:, 0, None, None] ** 2)
 
-    spec = QuadratureSpec()
-    lhs = sphere_integral_matrix(lambda m: f(m @ r.T), lambda m: np.ones(len(m)), spec)
-    rhs = sphere_integral_matrix(f, lambda m: np.ones(len(m)), spec)
+    lhs = sphere_integral_matrix(lambda m: f(m @ r.T), lambda m: np.ones(len(m)))
+    rhs = sphere_integral_matrix(f, lambda m: np.ones(len(m)))
     worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 
 
 def check_density_covariance():
-    """w_n(R m) = w_{R^-1 n}(m) for both model families."""
-    from .misalignment import density_covariance_witness
-
+    """w_n(R m) = w_{R^-1 n}(m) for both model families: the largest
+    violation over 500 random rotations and direction pairs per model."""
     worst = 0.0
     for model in (UniformCap(0.3), UniformCap(np.pi), AxialDensity(0.8, _cap_profile)):
-        worst = max(worst, density_covariance_witness(model, 500, seed=SEED + 4))
+        rng = np.random.default_rng(SEED + 4)
+        r, n, m = random_rotation(rng, 500), random_unit_vector(rng, 500), random_unit_vector(rng, 500)
+        # each side rotates its own argument first, as w_n(R m) and w_{R^-1 n}(m) read
+        lhs_cos = np.einsum("ki,ki->k", n, np.einsum("kij,kj->ki", r, m))
+        rhs_cos = np.einsum("ki,ki->k", np.einsum("kji,kj->ki", r, n), m)
+        worst = max(worst, float(np.max(np.abs(model.density(lhs_cos) - model.density(rhs_cos)))))
     return worst <= 1e-12, f"max witness {worst:.3e} (tol 1e-12)"
 
 

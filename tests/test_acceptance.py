@@ -165,15 +165,12 @@ def test_criterion_10_probability_simulation_consistency():
 
 def test_criterion_11_coloring_worked_example():
     with criterion(11, "threshold coloring of the z eigenrays"):
+        # the (+1, 0, -1) eigenrays of z are the basis vectors, in that order
+        plus, zero, minus = sc.sharp_eigenvectors(Z)
+        assert np.array_equal(np.array([plus, zero, minus]), np.eye(3))
         alphas = up.alphas_uniform_cap(0.4)
-        assignment = up.color_assignment(Z, alphas, 0.1, outcome=0)
-        colors = {tuple(np.round(ray.real, 9)): color for ray, color in assignment}
-        assert colors[(0.0, 1.0, 0.0)] == up.AT
-        assert colors[(1.0, 0.0, 0.0)] == up.AF
-        assert colors[(0.0, 0.0, 1.0)] == up.AF
-        assignment = up.color_assignment(Z, up.alphas_uniform_cap(0.6), 0.1, outcome=0)
-        colors = {tuple(np.round(ray.real, 9)): color for ray, color in assignment}
-        assert colors[(0.0, 1.0, 0.0)] == up.U
+        assert up.color_assignment(alphas, 0.1, outcome=0) == (up.AF, up.AT, up.AF)
+        assert up.color_assignment(up.alphas_uniform_cap(0.6), 0.1, outcome=0)[1] == up.U
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +279,22 @@ class TestKsCheck:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: --directions: direction file: directions[1] must be [x, y, z] with finite")
+
+
+class TestImports:
+    def test_ks_check_does_not_load_verify(self):
+        # a fresh interpreter, so no earlier import hides the one under test
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.1"]
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "unsharp_spin.cli", *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if "|" in line]
+        assert "unsharp_spin.ks_solver" in imported
+        assert "unsharp_spin.verify" not in imported
+        assert "conclusion: KS_CONTRADICTION" in run.stdout
 
 
 class TestVerify:

@@ -395,6 +395,9 @@ class TestPipeline:
         report = ks.ks_pipeline([X, Y, Z], mis.UniformCap(0.4), 0.1)
         assert report.conclusion == ks.COLORABLE
         assert report.solve.is_sat
+        # x is AT and lifts to the outcome-0 colors, y and z to the outcome +1 ones
+        coloring = report.solve.coloring
+        assert " ".join(coloring[i] for i in sorted(coloring)) == "AF AT AF AT AF AF AT AF AF"
 
     def test_rejects_empty_directions(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -37,9 +37,7 @@ class TestCapArea:
     def test_quadrature_cross_check(self):
         # integrate the cap indicator over its own support band
         eps = 0.459
-        area = mis.sphere_integral_matrix(
-            identity, lambda m: np.ones(len(m)), mis.QuadratureSpec(), u_range=(np.cos(eps), 1.0)
-        )
+        area = mis.sphere_integral_matrix(identity, lambda m: np.ones(len(m)), u_range=(np.cos(eps), 1.0))
         assert max_abs(area - mis.cap_area(eps) * np.eye(3)) < 1e-10
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, np.pi + 0.01])
@@ -113,41 +111,39 @@ class TestAxialDensity:
         assert abs(split[1].sum() - (1.0 - np.cos(0.4))) < 1e-15
 
 
-@pytest.mark.parametrize("spec", [mis.QuadratureSpec(), mis.QuadratureSpec(24, 40)], ids=["64x64", "24x40"])
+@pytest.mark.parametrize("nodes", [64, 24], ids=["64x64", "24x24"])
 @pytest.mark.parametrize("u_range", [(-1.0, 1.0), mis.UniformCap(0.7).support_u()], ids=["sphere", "cap"])
 @pytest.mark.parametrize("axis", [None, Z, -Z, sc.unit_from_polar(1.1, 0.4)], ids=["none", "z", "-z", "generic"])
-def test_sphere_grid_is_the_flat_product(spec, u_range, axis):
+def test_sphere_grid_is_the_flat_product(nodes, u_range, axis):
     # the product grid equals, bit for bit, the grid built node by node:
     # u repeated and phi tiled, trig on every node, then re-poled; a
-    # transposed product would fail the 24x40 spec
-    u, wu = mis._polar_rule(*u_range, spec.n_theta)
-    phi = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
-    u_all, phi_all = np.repeat(u, spec.n_phi), np.tile(phi, spec.n_theta)
+    # transposed product runs theta-fastest and fails the node order
+    u, wu = mis._polar_rule(*u_range, nodes)
+    phi = 2.0 * np.pi * np.arange(nodes) / nodes
+    u_all, phi_all = np.repeat(u, nodes), np.tile(phi, nodes)
     st = np.sqrt(np.clip(1.0 - u_all * u_all, 0.0, None))
     want = np.stack([st * np.cos(phi_all), st * np.sin(phi_all), u_all], axis=1)
     if axis is not None:
         theta_a, phi_a = sc.polar_from_unit(axis)
         want = want @ sc.rotation_from_euler(phi_a, theta_a, 0.0).T
-    points, weights = mis.sphere_grid(spec, axis=axis, u_range=u_range)
+    points, weights = mis.sphere_grid(nodes, axis=axis, u_range=u_range)
     assert np.array_equal(points, want)
-    assert np.array_equal(weights, np.repeat(wu, spec.n_phi) * (2.0 * np.pi / spec.n_phi))
+    assert np.array_equal(weights, np.repeat(wu, nodes) * (2.0 * np.pi / nodes))
 
 
 class TestSphereIntegralMatrix:
     def test_identity_times_area(self):
-        out = mis.sphere_integral_matrix(identity, lambda m: np.ones(len(m)), mis.QuadratureSpec())
+        out = mis.sphere_integral_matrix(identity, lambda m: np.ones(len(m)))
         assert max_abs(out - 4 * np.pi * np.eye(3)) < 1e-10
 
     def test_isotropic_projector_average(self):
-        out = mis.sphere_integral_matrix(projector, lambda m: np.full(len(m), 0.25 / np.pi), mis.QuadratureSpec())
+        out = mis.sphere_integral_matrix(projector, lambda m: np.full(len(m), 0.25 / np.pi))
         assert max_abs(out - np.eye(3) / 3) < 1e-8
 
     def test_cap_weighted_projector_is_diagonal_alphas(self):
         eps = 0.6
         model = mis.UniformCap(eps)
-        out = mis.sphere_integral_matrix(
-            projector, lambda m: model.density(m[:, 2]), mis.QuadratureSpec(), u_range=model.support_u()
-        )
+        out = mis.sphere_integral_matrix(projector, lambda m: model.density(m[:, 2]), u_range=model.support_u())
         a = alphas_uniform_cap(eps)
         assert max_abs(out - np.diag([a.a1, a.a2, a.a3])) < 1e-8
 
@@ -155,13 +151,13 @@ class TestSphereIntegralMatrix:
         eps = 0.7
         model = mis.UniformCap(eps)
 
-        def run(spec):
+        def run(nodes):
             return mis.sphere_integral_matrix(
-                lambda m: projector(m, 1), lambda m: model.density(m[:, 2]), spec, u_range=model.support_u()
+                lambda m: projector(m, 1), lambda m: model.density(m[:, 2]), nodes, u_range=model.support_u()
             )
 
-        coarse = run(mis.QuadratureSpec(32, 32))
-        fine = run(mis.QuadratureSpec(64, 64))
+        coarse = run(32)
+        fine = run(64)
         assert max_abs(coarse - fine) < 1e-8
 
     def test_rejects_negative_weight(self):
@@ -172,35 +168,46 @@ class TestSphereIntegralMatrix:
 
         for weight in (lambda m: -np.ones(len(m)), negative_at_one_node):
             with pytest.raises(ValueError, match="negative"):
-                mis.sphere_integral_matrix(identity, weight, mis.QuadratureSpec(8, 8))
+                mis.sphere_integral_matrix(identity, weight, 8)
 
     def test_deterministic(self):
-        spec = mis.QuadratureSpec(16, 16)
         f, w = lambda m: m[:, :, None] * m[:, None, :], lambda m: np.ones(len(m))
-        a = mis.sphere_integral_matrix(f, w, spec)
-        b = mis.sphere_integral_matrix(f, w, spec)
+        a = mis.sphere_integral_matrix(f, w, 16)
+        b = mis.sphere_integral_matrix(f, w, 16)
         assert np.array_equal(a, b)
 
 
 class TestQuadratureSpec:
+    # the product quadrature has one setting: its node count in theta and in phi
     def test_defaults(self):
-        spec = mis.QuadratureSpec()
-        assert spec.n_theta == 64 and spec.n_phi == 64
+        points, weights = mis.sphere_grid()
+        assert points.shape == (64 * 64, 3) and weights.shape == (64 * 64,)
+        assert abs(weights.sum() - 4.0 * np.pi) < 1e-12
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="n_theta"):
-            mis.QuadratureSpec(0, 8)
-        with pytest.raises(ValueError, match="n_phi"):
-            mis.QuadratureSpec(8, 0)
+        for nodes in (0, -8):
+            with pytest.raises(ValueError, match=r"^nodes must be >= 1"):
+                mis.sphere_grid(nodes)
+
+
+def covariance_witness(model, samples, seed):
+    # the largest |w_n(R m) - w_{R^-1 n}(m)| over random rotations and
+    # direction pairs, the quantity verify's density-covariance bounds
+    rng = np.random.default_rng(seed)
+    r = sc.random_rotation(rng, samples)
+    n, m = sc.random_unit_vector(rng, samples), sc.random_unit_vector(rng, samples)
+    lhs = model.density(np.einsum("ki,kij,kj->k", n, r, m))
+    rhs = model.density(np.einsum("kji,kj,ki->k", r, n, m))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 class TestCovarianceWitness:
     def test_uniform_cap(self):
-        assert mis.density_covariance_witness(mis.UniformCap(0.3), 1000, seed=3) <= 1e-12
+        assert covariance_witness(mis.UniformCap(0.3), 1000, seed=3) <= 1e-12
 
     def test_isotropic_cap_exact_zero(self):
-        assert mis.density_covariance_witness(mis.UniformCap(np.pi), 200, seed=4) == 0.0
+        assert covariance_witness(mis.UniformCap(np.pi), 200, seed=4) == 0.0
 
     def test_axial_profile(self):
         model = mis.AxialDensity(0.9, cos2_profile)
-        assert mis.density_covariance_witness(model, 500, seed=5) <= 1e-12
+        assert covariance_witness(model, 500, seed=5) <= 1e-12

@@ -5,6 +5,11 @@ from conftest import max_abs
 from unsharp_spin import spin_core as sc
 
 
+def unitary(r):
+    # the spin-1 representation U(R), the conjugate transpose of D(R)
+    return sc.wigner_d1(r).conj().T
+
+
 class TestSpinMatrices:
     def test_sz_is_diagonal_1_0_minus1(self):
         _, _, sz = sc.spin_matrices()
@@ -222,10 +227,11 @@ class TestWignerD1:
             assert float(np.linalg.norm(lhs - rhs)) < 1e-10
 
     def test_representation_homomorphism(self, rng):
+        # U(R) = D(R)^dag is the representation: U(R1 R2) = U(R1) U(R2)
         for _ in range(100):
             r1, r2 = sc.random_rotation(rng), sc.random_rotation(rng)
-            lhs = sc.spin1_representation(r1 @ r2)
-            rhs = sc.spin1_representation(r1) @ sc.spin1_representation(r2)
+            lhs = unitary(r1 @ r2)
+            rhs = unitary(r1) @ unitary(r2)
             assert float(np.linalg.norm(lhs - rhs)) < 1e-10
 
     def test_against_expm_oracle(self, rng):
@@ -240,7 +246,7 @@ class TestWignerD1:
         for a, b, g in angles:
             r = sc.rotation_from_euler(a, b, g)
             oracle = expm_herm(sz, a) @ expm_herm(sy, b) @ expm_herm(sz, g)
-            assert max_abs(sc.spin1_representation(r) - oracle) < 1e-12
+            assert max_abs(unitary(r) - oracle) < 1e-12
 
 
 def scalar_canonical_phase(v):
@@ -326,10 +332,9 @@ class TestStacks:
 
     def test_unitaries_match_row_by_row(self, rng):
         rotations = np.concatenate([np.eye(3)[None], sc.rotation_y(np.pi)[None], sc.random_rotation(rng, 40)])
-        for f in (sc.spin1_representation, sc.wigner_d1):
-            stacked = f(rotations)
-            assert stacked.shape == (len(rotations), 3, 3)
-            np.testing.assert_array_equal(_bits(stacked), _bits([f(r) for r in rotations]))
+        stacked = sc.wigner_d1(rotations)
+        assert stacked.shape == (len(rotations), 3, 3)
+        np.testing.assert_array_equal(_bits(stacked), _bits([sc.wigner_d1(r) for r in rotations]))
 
     def test_eigenvector_stack_names_a_non_unit_row(self):
         with pytest.raises(ValueError, match=r"^directions\[1\] must be a unit vector"):
@@ -342,7 +347,7 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"^rotation\[2\] is not orthogonal within tolerance$"):
             sc.wigner_d1(np.stack([good[0], reflection, skew, good[1]]))
         with pytest.raises(ValueError, match=r"^rotation\[3\] must have determinant \+1$"):
-            sc.spin1_representation(np.stack([*good, reflection]))
+            sc.wigner_d1(np.stack([*good, reflection]))
         with pytest.raises(ValueError, match="3x3 matrix"):
             sc.as_rotation(np.zeros((2, 2, 3, 3)))
 

@@ -14,7 +14,8 @@ Two kinds of test ride along under the same test function:
   (``solver-vs-brute-force`` covers the count_all mode).
 
 A second test breaks the library function a sampled check guards, in
-``verify``'s namespace, and asserts that the check then fails.
+``verify``'s namespace, and asserts that the check then fails; a third
+breaks the color rule ``ks_pipeline`` lifts with, in ``ks_solver``'s.
 """
 
 import functools
@@ -125,6 +126,7 @@ MUTANTS = {
     "effect-triples/F+ scaled by 1 + 1e-6": ("effect-triples", "sphere_effects", _plus_scaled),
     "effect-triples/+1 and 0 eigenvectors swapped": ("effect-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
+    "rotation-composition/forward convention": ("rotation-composition", "wigner_d1", _forward_convention),
     "simulator-consistency/+1 and -1 counts swapped": (
         "simulator-consistency", "simulate_outcomes", _plus_minus_counts_swapped
     ),
@@ -139,3 +141,18 @@ def test_check_fails_on_broken_library(monkeypatch, check_name, target, mutate):
     monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
     ok, detail = dict(verify.ALL_CHECKS)[check_name]()
     assert not ok, detail
+
+
+def test_real_embedding_fails_on_a_broken_color_rule(monkeypatch):
+    # ks_pipeline lifts direction colors through the one color rule; a rule
+    # that swaps the 0 and +1 rays' colors gives orthogonal 0-rays two ATs
+    color_assignment = ks_solver.color_assignment
+
+    def swapped(alphas, delta, outcome):
+        plus, zero, minus = color_assignment(alphas, delta, outcome)
+        return zero, plus, minus
+
+    monkeypatch.setattr(ks_solver, "color_assignment", swapped)
+    ok, detail = verify.check_real_embedding()
+    assert not ok, detail
+    assert detail.endswith("on 2/4 direction sets, not xyz, not peres-20")
