@@ -18,7 +18,6 @@ from .formats import (
     load_profile_file,
     load_ray_file,
     save_direction_file,
-    write_report,
 )
 from .ks_solver import (
     COLORABLE,

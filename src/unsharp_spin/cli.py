@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, formats
 from .ks_solver import ks_pipeline
 from .misalignment import UniformCap
-from .spin_core import unit_from_polar
+from .spin_core import unit_from_polar, unit_rows
 from .unsharp_povm import (
     alphas_axial,
     alphas_uniform_cap,
@@ -72,11 +72,10 @@ def _parse_state(text: str) -> np.ndarray:
             raise ValueError(f"--state amplitude {part!r} is not a number") from None
         if not np.isfinite(amplitudes[-1]):
             raise ValueError(f"--state amplitude {part!r} is not finite")
-    v = np.array(amplitudes)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ValueError("--state must be a nonzero vector")
-    return v / norm
+    try:
+        return unit_rows(np.array([amplitudes]))[0]
+    except ValueError:  # the one row is zero
+        raise ValueError("--state must be a nonzero vector") from None
 
 
 @contextlib.contextmanager

@@ -4,7 +4,9 @@ Direction-set files are the only input the KS check reads::
 
     { "name": str, "directions": [[x, y, z] | {"theta": t, "phi": p}, ...] }
 
-Cartesian entries are normalized on load; polar entries are in radians.
+Cartesian entries are normalized on load by ``spin_core.unit_rows``, so a
+finite row of any magnitude loads and a row of norm below 1e-12 is a zero
+vector; polar entries are in radians.
 
 Profile files (tabulated axial density)::
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .ks_solver import canonicalize_and_dedupe
 from .misalignment import AxialDensity
-from .spin_core import unit_from_polar
+from .spin_core import unit_from_polar, unit_rows
 
 
 def fixture_path(name: str):
@@ -97,7 +99,7 @@ def load_ray_file(path) -> tuple[str, list[np.ndarray]]:
 
 
 def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
-    """Load a direction-set file; Cartesian rows are normalized on load."""
+    """Load a direction-set file; Cartesian rows are normalized by ``unit_rows``."""
     doc = _load_object(path, "direction")
     name = doc.get("name")
     if not isinstance(name, str):
@@ -117,10 +119,7 @@ def load_direction_file(path) -> tuple[str, list[np.ndarray]]:
         else:
             raise ValueError(f"{where}[{k}] must be [x, y, z] or {{'theta': t, 'phi': p}}")
     rows = _number_rows([raw[k] for k in cartesian], ("x", "y", "z"), where, cartesian)
-    norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]  # as np.linalg.norm of one row
-    if len(zero := np.flatnonzero(norms < 1e-12)):
-        raise ValueError(f"{where}[{cartesian[zero[0]]}] is a zero vector")
-    directions[cartesian] = rows / norms
+    directions[cartesian] = unit_rows(rows, where, cartesian)
     return name, list(directions)
 
 

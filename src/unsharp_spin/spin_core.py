@@ -41,17 +41,22 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _SX.copy(), _SY.copy(), _SZ.copy()
 
 
+def _squared_norms(w: np.ndarray) -> np.ndarray:
+    # per row, the dot product np.linalg.norm takes of one vector: real part, then imaginary
+    parts = (w.real, w.imag) if np.iscomplexobj(w) else (w,)
+    return sum(p[:, None, :] @ p[:, :, None] for p in parts)[:, 0, 0]
+
+
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     """The float array ``v``, one vector or a stack, if each row has finite
     components and |n.n - 1| <= ``UNIT_TOL``; a stack's error names row k."""
     if not np.isfinite(v).all():
         raise ValueError(f"{name} {'has' if v.ndim == 1 else 'have'} non-finite components")
-    # v @ v for one vector; the matmul gives each row of a stack the same bits
-    excess = (v @ v if v.ndim == 1 else (v[:, None, :] @ v[:, :, None])[:, 0, 0]) - 1.0
+    excess = _squared_norms(v.reshape(-1, 3)) - 1.0
     if (abs(excess) > UNIT_TOL).any():
         k = int(np.argmax(abs(excess) > UNIT_TOL))
-        where, e = (name, excess) if v.ndim == 1 else (f"{name}[{k}]", excess[k])
-        raise ValueError(f"{where} must be a unit vector (|n|^2 - 1 = {e:.3e})")
+        where = name if v.ndim == 1 else f"{name}[{k}]"
+        raise ValueError(f"{where} must be a unit vector (|n|^2 - 1 = {excess[k]:.3e})")
     return v
 
 
@@ -86,29 +91,38 @@ def polar_from_unit(n) -> tuple[float, float]:
 
 
 def spin_along(n) -> np.ndarray:
-    """Spin observable n . S for a unit direction ``n``.
+    """Spin observable n . S for a unit direction ``n``, with eigenvalues
+    {1, 0, -1}; on an (N, 3) stack, row k bit for bit ``spin_along(n[k])``.
+    Non-unit input is rejected."""
+    v = np.asarray(n, dtype=float)
+    x, y, z = (as_unit_vector(v) if v.ndim == 1 else as_unit_directions(v)).T[..., None, None]
+    return x * _SX + y * _SY + z * _SZ
 
-    Has eigenvalues {1, 0, -1} for every unit ``n``.  Non-unit input is
-    rejected.
-    """
-    v = as_unit_vector(n)
-    return v[0] * _SX + v[1] * _SY + v[2] * _SZ
+
+def unit_rows(v, name: str = "rays", labels=None) -> np.ndarray:
+    """Each row of the (N, d) real or complex array ``v`` over its norm,
+    bit for bit as ``v[k] / np.linalg.norm(v[k])``, except that a row whose
+    squared norm overflows is first divided by its largest modulus.  A row
+    of norm below 1e-12 is an error naming it ``name[k]`` (or ``name[labels[k]]``)."""
+    w = np.asarray(v)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_squared_norms(w))
+    if (big := norm == np.inf).any():
+        return unit_rows(w / np.where(big, np.abs(w).max(axis=1), 1.0)[:, None], name, labels)
+    if len(zero := np.flatnonzero(norm < 1e-12)):
+        raise ValueError(f"{name}[{zero[0] if labels is None else labels[zero[0]]}] is a zero vector")
+    return w / norm[:, None]
 
 
 def canonical_phase(v) -> np.ndarray:
-    """Normalize each row of ``v`` (one vector or an (N, d) stack) and fix
-    its global phase: the first component with magnitude above
-    ``PHASE_TOL`` becomes real and positive, which makes rays comparable
-    across runs.  Each row comes out bit for bit as it would alone: norms
-    are the dot products ``np.linalg.norm`` takes of one vector and
-    magnitudes are ``np.hypot``, as scalar ``abs`` (``np.abs`` is not).
-    A zero row is an error that names it as ``rays[k]``."""
+    """Normalize each row of ``v`` (one vector or an (N, d) stack) by
+    ``unit_rows``, which names a zero row ``rays[k]``, and fix its global
+    phase: the first component with magnitude above ``PHASE_TOL`` becomes
+    real and positive, which makes rays comparable across runs.  Each row
+    comes out bit for bit as it would alone: magnitudes are ``np.hypot``,
+    as scalar ``abs`` (``np.abs`` is not)."""
     v = np.asarray(v, dtype=complex)
-    w = v.reshape(-1, v.shape[-1])
-    norm = np.sqrt(sum(p[:, None, :] @ p[:, :, None] for p in (w.real, w.imag)))[:, 0]
-    if len(zero := np.flatnonzero(norm < 1e-12)):
-        raise ValueError(f"rays[{zero[0]}] is a zero vector")
-    w = w / norm
+    w = unit_rows(v.reshape(-1, v.shape[-1]))
     mag = np.hypot(w.real, w.imag)
     # lead: the first component above PHASE_TOL, which every unit row has
     rows, lead = np.arange(len(w)), (mag > PHASE_TOL).argmax(axis=1)
@@ -263,19 +277,13 @@ def wigner_d1(r) -> np.ndarray:
 def random_unit_vector(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniformly distributed point on the unit sphere; with ``size``, that
     many as a (size, 3) array, drawn as one block (a row too short to
-    normalize is redrawn)."""
-    if size is None:
-        while True:
-            v = rng.standard_normal(3)
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                return v / norm
-    v = rng.standard_normal((size, 3))
-    norm = np.linalg.norm(v, axis=1)
-    while len(short := np.flatnonzero(norm <= 1e-6)):
-        v[short] = rng.standard_normal((len(short), 3))
-        norm[short] = np.linalg.norm(v[short], axis=1)
-    return v / norm[:, None]
+    normalize is redrawn).  One draw is row 0 of a 1-row block, so row k
+    of a block is bit for bit the k-th of ``size`` single draws."""
+    v = rng.standard_normal((1 if size is None else size, 3))
+    while (short := np.sqrt(_squared_norms(v)) <= 1e-6).any():
+        v[short] = rng.standard_normal((short.sum(), 3))
+    v = unit_rows(v)
+    return v[0] if size is None else v
 
 
 def random_rotation(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -29,6 +29,7 @@ AT = "AT"
 AF = "AF"
 U = "U"
 
+
 def check_delta(delta: float) -> float:
     """Validate an unsharpness tolerance, 0 <= delta < 0.5."""
     if not 0.0 <= delta < 0.5:
@@ -255,9 +256,9 @@ def color_assignment(alphas: Alphas, delta: float, outcome: int) -> tuple[str, s
     This is the one color rule.  The rays are the sharp eigenrays of the
     direction (``sharp_eigenvectors``): the unsharp effects share them,
     and since the outcome-0 effect is degenerate, the sharp triple is the
-    deterministic choice of eigenbasis.  A ray whose eigenvalue under the outcome's effect is at least
-    1 - delta is colored AT, at most delta AF, and anything between gets
-    the noncommittal U.
+    deterministic choice of eigenbasis.  A ray whose eigenvalue under the
+    outcome's effect is at least 1 - delta is colored AT, at most delta
+    AF, and anything between gets the noncommittal U.
     """
     delta = check_delta(delta)
     if outcome not in (1, 0, -1):

@@ -33,6 +33,7 @@ from .spin_core import (
     spin_along,
     spin_matrices,
     unit_from_polar,
+    unit_rows,
     wigner_d1,
 )
 from .unsharp_povm import (
@@ -60,10 +61,9 @@ def _cap_profile(theta):
 def check_projector_triples():
     """Idempotence, mutual orthogonality, completeness, spectral sum, and
     P_+ + P_- = (n.S)^2, the identity ``sphere_effects`` integrates by."""
-    rng = np.random.default_rng(SEED)
-    n = np.array([random_unit_vector(rng) for _ in range(100)])
+    n = random_unit_vector(np.random.default_rng(SEED), 100)
     ps = np.stack(sharp_projectors(n).as_tuple(), axis=1)  # (draw, outcome, 3, 3)
-    s_n = np.array([spin_along(m) for m in n])
+    s_n = spin_along(n)
     plus, minus = ps[:, 0], ps[:, 2]
     residuals = (
         ps.sum(axis=1) - np.eye(3),
@@ -132,8 +132,9 @@ def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
     int w (m.S)^2 = sum_ab M_ab S_a S_b and the mass tr M.  The grid is
     re-poled around ``n`` and restricted to the density's support, where
     the moments are low-degree trigonometric polynomials; the default 64
-    nodes are therefore exact to rounding for the uniform cap.  Nothing here assumes the triple is diagonal in the sharp
-    eigenbasis, so the checks that find it so establish the closed form.
+    nodes are therefore exact to rounding for the uniform cap.  Nothing
+    here assumes the triple is diagonal in the sharp eigenbasis, so the
+    checks that find it so establish the closed form.
     """
     n = as_unit_vector(n, "n")
 
@@ -329,23 +330,16 @@ def check_real_embedding():
     So on four direction sets ``ks_pipeline``'s counts, verdict and
     coloring agree with the complex eigenray instance."""
     rng = np.random.default_rng(SEED + 10)
-    ns, owner, partners, cosines = [], [], [], []  # the last three: one entry per pair (n, n')
-    for k in range(100):
-        n = random_unit_vector(rng)
-        m = random_unit_vector(rng)
-        ns.append(n)
-        n_partners = [m]
-        # orthogonal pair: project m off n
-        perp = m - (m @ n) * n
-        if np.linalg.norm(perp) > 1e-6:
-            n_partners.append(perp / np.linalg.norm(perp))
-        for partner in n_partners:
-            owner.append(k)
-            partners.append(partner)
-            cosines.append(float(n @ partner))
-    bases = np.stack(sharp_eigenvectors(np.array(ns + partners)), axis=-1)  # eigenvectors as columns
+    ns, ms = random_unit_vector(rng, 200).reshape(100, 2, 3).swapaxes(0, 1)  # draws alternate n, m
+    # each n is paired with its m and, where m is not parallel to n, with m projected off n
+    perp = ms - (ms[:, None, :] @ ns[:, :, None])[:, 0] * ns
+    kept = np.flatnonzero(np.linalg.norm(perp, axis=1) > 1e-6)
+    owner = np.concatenate([np.arange(100), kept])
+    partners = np.concatenate([ms, unit_rows(perp[kept])])
+    cosines = (ns[owner, None, :] @ partners[:, :, None])[:, 0, 0]
+    bases = np.stack(sharp_eigenvectors(np.concatenate([ns, partners])), axis=-1)  # eigenvectors as columns
     overlap = np.abs(bases[owner].conj().swapaxes(-1, -2) @ bases[len(ns):]) ** 2
-    worst = float(np.max(np.abs(overlap - _overlap_law(np.array(cosines)))))
+    worst = float(np.max(np.abs(overlap - _overlap_law(cosines))))
     _, peres = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
     _, integer49 = formats.load_direction_file(formats.fixture_path("integer49_directions.json"))
     subset = [peres[i] for i in sorted(rng.choice(len(peres), size=20, replace=False))]
@@ -432,11 +426,9 @@ def check_unsat_monotonicity():
 def check_report_determinism():
     """Identical pipeline runs serialize byte-for-byte identically."""
     _, dirs = formats.load_direction_file(formats.fixture_path("peres33_directions.json"))
-    first = formats.dumps_report(
-        ks_solver.ks_pipeline(dirs, UniformCap(0.4), 0.1, name="det").to_dict()
-    )
-    second = formats.dumps_report(
-        ks_solver.ks_pipeline(dirs, UniformCap(0.4), 0.1, name="det").to_dict()
+    first, second = (
+        formats.dumps_report(ks_solver.ks_pipeline(dirs, UniformCap(0.4), 0.1, name="det").to_dict())
+        for _ in range(2)
     )
     return first == second, f"{len(first)} bytes, identical={first == second}"
 

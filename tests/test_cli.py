@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unsharp_spin
 from unsharp_spin import cli, formats, verify
 
 
@@ -131,6 +133,14 @@ class TestProbAndSimulate:
         )
         assert code == 0
         assert "sum = 1" in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_prob_overflowing_state(self, capsys):
+        # the amplitudes' squared norm is past the float range
+        argv = ["prob", "--direction", "0.7,1.3", "--epsilon", "0.4", "--state"]
+        code, out, err = run_cli(argv + ["1e200,0,0"], capsys)
+        assert (code, out, err) == run_cli(argv + ["1,0,0"], capsys)
+        assert (code, err) == (0, "")
 
     def test_simulate_deterministic(self, capsys):
         argv = [
@@ -272,6 +282,19 @@ class TestKsCheck:
         assert code == 2
         assert err == "error: --directions: direction file: directions[1] is a zero vector\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_reports_as_its_unit_row(self, capsys, tmp_path):
+        # [1e200, 0, 0] has a squared norm past the float range
+        outputs = []
+        for first in ([1e200, 0, 0], [1, 0, 0]):
+            path = tmp_path / "dirs.json"
+            path.write_text(json.dumps({"name": "big", "directions": [first, [0, 1, 0], [0, 0, 1]]}))
+            argv = ["ks-check", "--directions", str(path), "--epsilon", "0.4", "--delta", "0.1"]
+            code, out, err = run_cli(argv + ["--output", str(tmp_path / "report.json")], capsys)
+            assert (code, err) == (0, "")
+            outputs.append((out, (tmp_path / "report.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_null_component_file_errors(self, capsys, tmp_path):
         path = tmp_path / "dirs.json"
         path.write_text(json.dumps({"name": "n", "directions": [[0, 0, 1], [1, 0, None]]}))
@@ -282,6 +305,13 @@ class TestKsCheck:
 
 
 class TestImports:
+    def test_public_names_are_all(self):
+        public = {
+            name for name, value in vars(unsharp_spin).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert sorted(public) == sorted(unsharp_spin.__all__)
+
     def test_ks_check_does_not_load_verify(self):
         # a fresh interpreter, so no earlier import hides the one under test
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -145,6 +145,11 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="zero"):
             ks.canonicalize_and_dedupe([np.zeros(3)])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_gives_the_unit_ray(self):
+        rays = ks.canonicalize_and_dedupe([[1e200, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(np.array(rays), [[1, 0, 0], [0, 1, 0]])
+
     def test_zero_row_error_names_its_index(self):
         with pytest.raises(ValueError, match=r"^rays\[2\] is a zero vector$"):
             ks.canonicalize_and_dedupe([X, Y, np.zeros(3), Z, np.zeros(3)])

@@ -177,7 +177,7 @@ class TestSphereIntegralMatrix:
         assert np.array_equal(a, b)
 
 
-class TestQuadratureSpec:
+class TestSphereGrid:
     # the product quadrature has one setting: its node count in theta and in phi
     def test_defaults(self):
         points, weights = mis.sphere_grid()

@@ -263,6 +263,21 @@ def scalar_canonical_phase(v):
     raise AssertionError("no component above PHASE_TOL")
 
 
+class TestUnitRows:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rows_normalize(self):
+        # squared norms past the float range, the last norm itself past it
+        rows = np.array([[1e200, 0, 0], [3e200, -4e200, 0], [0, 1.5e308, 1.5e308]])
+        want = [[1, 0, 0], [0.6, -0.8, 0], [0, np.sqrt(0.5), np.sqrt(0.5)]]
+        np.testing.assert_allclose(sc.unit_rows(rows), want, rtol=0, atol=2e-16)
+        np.testing.assert_array_equal(sc.unit_rows(rows[:1]), [[1, 0, 0]])
+        np.testing.assert_array_equal(sc.unit_rows(1j * rows[:1]), [[1j, 0, 0]])
+
+    def test_zero_row_error_names_its_label(self):
+        with pytest.raises(ValueError, match=r"^d\[7\] is a zero vector$"):
+            sc.unit_rows(np.array([[1.0, 0, 0], [1e-13, 0, 0]]), "d", [3, 7])
+
+
 class TestCanonicalPhase:
     def test_scales_and_rotates_phase(self):
         v = np.array([0, 2.0, 0]) * np.exp(1j * 0.7)
@@ -306,6 +321,18 @@ def _bits(a):
 
 class TestStacks:
     # each stacked call gives every row bit for bit what the one-row call does
+
+    def test_random_draws_match_single_draws(self):
+        block = sc.random_unit_vector(np.random.default_rng(5), 20_000)
+        rng = np.random.default_rng(5)
+        singles = [sc.random_unit_vector(rng) for _ in range(20_000)]
+        np.testing.assert_array_equal(_bits(block), _bits(singles))
+
+    def test_spin_along_matches_row_by_row(self, rng):
+        dirs = np.concatenate([np.eye(3), -np.eye(3), sc.random_unit_vector(rng, 500)])
+        stacked = sc.spin_along(dirs)
+        assert stacked.shape == (len(dirs), 3, 3)
+        np.testing.assert_array_equal(_bits(stacked), _bits([sc.spin_along(n) for n in dirs]))
 
     def test_eigenvectors_and_projectors_match_row_by_row(self, rng):
         near_pole = [2e-16, 2.3e-16, 1.0]
