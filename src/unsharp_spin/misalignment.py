@@ -17,10 +17,12 @@ cos(theta) converges only algebraically.
 
 ``sphere_integral_matrix`` is a product rule on the sphere with one
 setting, ``nodes``: the same theta rule restricted to a band times a
-uniform periodic trapezoid in phi, ``nodes`` of each.  The library's
-effects do not use it; ``verify`` integrates the effects on it as the
-oracle for their closed form, and checks the covariance above on
-sampled rotations (``density-covariance``).
+uniform periodic trapezoid in phi, ``nodes`` of each, about the z-axis.
+The library's effects do not use it; ``verify`` integrates the effects'
+moments on it once about the pole, as the oracle for their closed form,
+and carries them to each direction n by the rotation ``_repole`` applies
+(z to n), which the covariance above makes exact.  ``verify`` checks that
+covariance on sampled rotations (``density-covariance``).
 """
 
 from __future__ import annotations
@@ -189,24 +191,22 @@ class AxialDensity(_AxialModel):
 
 
 def _repole(local: np.ndarray, axis) -> np.ndarray:
-    # (N, 3) local vectors carried to the frame whose z-axis is ``axis``
+    # (N, 3) local vectors carried to the frame whose z-axis is ``axis``; on
+    # an (A, 3) stack of axes, an (A, N, 3) stack, one frame per axis
     theta_a, phi_a = polar_from_unit(axis)
-    return local @ rotation_from_euler(phi_a, theta_a, 0.0).T  # the rotation maps z to axis
+    return local @ rotation_from_euler(phi_a, theta_a, 0.0).swapaxes(-1, -2)  # the rotation maps z to axis
 
 
-def sphere_grid(
-    nodes: int = 64,
-    axis=None,
-    u_range: tuple[float, float] = (-1.0, 1.0),
-) -> tuple[np.ndarray, np.ndarray]:
+def sphere_grid(nodes: int = 64, u_range: tuple[float, float] = (-1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes on (part of) the sphere: Gauss-Legendre in theta
     and a periodic trapezoid in phi, ``nodes`` of each.
 
     Returns (N, 3) unit vectors and (N,) weights summing to the area of
-    the u-band, u the cosine from ``axis`` (the z-axis when None).  Nodes
-    run phi-fastest: node k has the (k // nodes)-th theta node and the
-    (k % nodes)-th phi node.  The grid is the theta x phi product, so the
-    transcendentals are taken on the 2 * nodes factors alone.
+    the u-band, u = cos(theta) the z-component.  Nodes run phi-fastest:
+    node k has the (k // nodes)-th theta node and the (k % nodes)-th phi
+    node.  The grid is the theta x phi product, so the transcendentals are
+    taken on the 2 * nodes factors alone.  ``_repole`` carries it to
+    another pole.
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
@@ -217,16 +217,14 @@ def sphere_grid(
     local[:, :, 0] = st[:, None] * np.cos(phi)
     local[:, :, 1] = st[:, None] * np.sin(phi)
     local[:, :, 2] = u[:, None]
-    local = local.reshape(-1, 3)
     weights = np.repeat(wu * (2.0 * np.pi / nodes), nodes)
-    return (local if axis is None else _repole(local, axis)), weights
+    return local.reshape(-1, 3), weights
 
 
 def sphere_integral_matrix(
     f,
     weight,
     nodes: int = 64,
-    axis=None,
     u_range: tuple[float, float] = (-1.0, 1.0),
 ) -> np.ndarray:
     """Quadrature approximation of the integral of weight(m) f(m) over m.
@@ -234,12 +232,11 @@ def sphere_integral_matrix(
     Batched: ``f`` maps the (N, 3) array of unit nodes to an (N, ...)
     array of values and ``weight`` maps it to (N,) weights, any negative
     one a ValueError; the result has shape (...).  The nodes are those of
-    ``sphere_grid(nodes, axis, u_range)`` and the sum is one tensor
-    contraction, so results are bit-stable.  ``axis`` and ``u_range``
-    restrict integration to a band around an axis (e.g. the support of a
-    cap density).
+    ``sphere_grid(nodes, u_range)`` and the sum is one tensor contraction,
+    so results are bit-stable.  ``u_range`` restricts integration to a
+    band around the z-axis (e.g. the support of a cap density about it).
     """
-    points, weights = sphere_grid(nodes, axis=axis, u_range=u_range)
+    points, weights = sphere_grid(nodes, u_range)
     wv = np.asarray(weight(points), dtype=float)
     if np.any(wv < 0.0):
         raise ValueError("weight function returned a negative value")

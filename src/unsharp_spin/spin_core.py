@@ -83,11 +83,12 @@ def unit_from_polar(theta: float, phi: float) -> np.ndarray:
 
 
 def polar_from_unit(n) -> tuple[float, float]:
-    """Polar coordinates (theta, phi) of a unit vector; phi = 0 at the poles."""
-    v = as_unit_vector(n)
-    theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
-    phi = float(np.arctan2(v[1], v[0]))
-    return theta, phi
+    """Polar coordinates (theta, phi) of a unit vector; phi = 0 at the poles.
+    On an (N, 3) stack, two (N,) arrays, row k bit for bit the call on ``n[k]``."""
+    v = np.asarray(n, dtype=float)
+    x, y, z = (as_unit_vector(v) if v.ndim == 1 else as_unit_directions(v)).T
+    theta, phi = np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+    return (float(theta), float(phi)) if v.ndim == 1 else (theta, phi)
 
 
 def spin_along(n) -> np.ndarray:
@@ -103,14 +104,19 @@ def unit_rows(v, name: str = "rays", labels=None) -> np.ndarray:
     """Each row of the (N, d) real or complex array ``v`` over its norm,
     bit for bit as ``v[k] / np.linalg.norm(v[k])``, except that a row whose
     squared norm overflows is first divided by its largest modulus.  A row
-    of norm below 1e-12 is an error naming it ``name[k]`` (or ``name[labels[k]]``)."""
+    of norm below 1e-12, or with a non-finite component, is an error naming
+    it ``name[k]`` (or ``name[labels[k]]``)."""
     w = np.asarray(v)
     with np.errstate(over="ignore"):
         norm = np.sqrt(_squared_norms(w))
     if (big := norm == np.inf).any():
-        return unit_rows(w / np.where(big, np.abs(w).max(axis=1), 1.0)[:, None], name, labels)
-    if len(zero := np.flatnonzero(norm < 1e-12)):
-        raise ValueError(f"{name}[{zero[0] if labels is None else labels[zero[0]]}] is a zero vector")
+        # an infinite component makes its row NaN, which the recursive call names
+        with np.errstate(invalid="ignore"):
+            return unit_rows(w / np.where(big, np.abs(w).max(axis=1), 1.0)[:, None], name, labels)
+    if len(bad := np.flatnonzero(~(norm >= 1e-12))):  # a NaN norm fails too
+        k = bad[0]
+        what = "is a zero vector" if norm[k] < 1e-12 else "has non-finite components"
+        raise ValueError(f"{name}[{k if labels is None else labels[k]}] {what}")
     return w / norm[:, None]
 
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import crosscheck, formats, ks_solver
-from .misalignment import AxialDensity, UniformCap, sphere_integral_matrix
+from .misalignment import AxialDensity, UniformCap, _repole, sphere_integral_matrix
 from .spin_core import (
     EffectTriple,
-    as_unit_vector,
     random_rotation,
     random_unit_vector,
     sharp_eigenvectors,
@@ -129,14 +128,19 @@ def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
     on ``nodes`` theta by ``nodes`` phi nodes integrates only the first
     and second moments mu = int w m and M = int w m m^T, and the effects
     follow exactly from int w m.S = sum_a mu_a S_a,
-    int w (m.S)^2 = sum_ab M_ab S_a S_b and the mass tr M.  The grid is
-    re-poled around ``n`` and restricted to the density's support, where
-    the moments are low-degree trigonometric polynomials; the default 64
-    nodes are therefore exact to rounding for the uniform cap.  Nothing
-    here assumes the triple is diagonal in the sharp eigenbasis, so the
-    checks that find it so establish the closed form.
+    int w (m.S)^2 = sum_ab M_ab S_a S_b and the mass tr M.  The moments
+    are integrated once, about the pole on the density's support, where
+    they are low-degree trigonometric polynomials (the default 64 nodes
+    are therefore exact to rounding for the uniform cap), and carried to
+    n by the rotation R that ``_repole`` applies (z to n):
+    mu_n = R mu_z and M_n = R M_z R^T, the same product rule with the sum
+    taken before the rotation.  On an (N, 3) stack of directions sharing
+    the model the triple's fields are stacks, row k bit for bit the call
+    on ``n[k]``.  Nothing here assumes the triple is diagonal in the sharp
+    eigenbasis, so the checks that find it so establish the closed form.
     """
-    n = as_unit_vector(n, "n")
+    v = np.array(n, dtype=float)
+    rot = _repole(np.eye(3), v).swapaxes(-1, -2)  # R, z to n: (3, 3), or (N, 3, 3) on a stack
 
     def moments(m):
         # (N, 4, 3): row 0 is m, rows 1-3 are m m^T; built node-last, so
@@ -145,15 +149,15 @@ def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
         x[1:] = m.T
         return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
 
-    moment = sphere_integral_matrix(
-        moments, lambda m: model.density(m @ n), nodes, axis=n, u_range=model.support_u()
-    )
-    mu, big_m = moment[0], moment[1:]
+    moment = sphere_integral_matrix(moments, lambda m: model.density(m[:, 2]), nodes, u_range=model.support_u())
+    mu = rot @ moment[0]
+    big_m = rot @ moment[1:] @ rot.swapaxes(-1, -2)
     linear = np.tensordot(mu, _S, axes=1)  # int w m.S
-    square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=0)  # int w (m.S)^2
-    fs = np.stack([(square + linear) / 2.0, np.trace(big_m) * np.eye(3) - square, (square - linear) / 2.0])
-    fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))
-    return EffectTriple(n, fs[0], fs[1], fs[2])
+    square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=-3)  # int w (m.S)^2
+    mass = np.trace(big_m, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
+    fs = np.stack([(square + linear) / 2.0, mass - square, (square - linear) / 2.0], axis=-3)
+    fs = 0.5 * (fs + fs.conj().swapaxes(-1, -2))  # (..., outcome, 3, 3)
+    return EffectTriple(v, *np.moveaxis(fs, -3, 0))
 
 
 def check_quadrature_stability():
@@ -252,12 +256,12 @@ def effect_triple_residuals() -> dict[str, float]:
         eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
         r.append(random_rotation(rng))
         model, alphas = UniformCap(eps), alphas_uniform_cap(eps)
-        for triple in (sphere_effects(n, model), sphere_effects(r[-1].T @ n, model)):
-            directions.append(triple.direction)
-            fs.append(triple.as_tuple())
-            want.append([alphas.spectrum(i) for i in (1, 0, -1)])
-    fs = np.array(fs)  # (triple, outcome, 3, 3): F_n, then F_{R^-1 n}, per draw
-    bases = np.stack(sharp_eigenvectors(np.array(directions)), axis=-1)  # eigenvectors as columns
+        pair = sphere_effects(np.array([n, r[-1].T @ n]), model)  # F_n and F_{R^-1 n}, one cap
+        directions.append(pair.direction)
+        fs.append(np.stack(pair.as_tuple(), axis=1))
+        want += 2 * [[alphas.spectrum(i) for i in (1, 0, -1)]]
+    fs = np.concatenate(fs)  # (triple, outcome, 3, 3): F_n, then F_{R^-1 n}, per draw
+    bases = np.stack(sharp_eigenvectors(np.concatenate(directions)), axis=-1)  # eigenvectors as columns
     cov = _conjugation_residual(wigner_d1(np.array(r)), fs[0::2], fs[1::2])
     return dict(zip(EFFECT_TOLERANCES, (*_triple_residuals(fs, bases, np.array(want)), cov)))
 

@@ -150,6 +150,12 @@ class TestCanonicalize:
         rays = ks.canonicalize_and_dedupe([[1e200, 0, 0], [0, 1, 0]])
         np.testing.assert_array_equal(np.array(rays), [[1, 0, 0], [0, 1, 0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_row_error_names_its_index(self):
+        # an infinite component is an error, not a NaN ray or a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^rays\[0\] has non-finite components$"):
+            ks.canonicalize_and_dedupe([[np.inf, 0, 0], [0, 1, 0]])
+
     def test_zero_row_error_names_its_index(self):
         with pytest.raises(ValueError, match=r"^rays\[2\] is a zero vector$"):
             ks.canonicalize_and_dedupe([X, Y, np.zeros(3), Z, np.zeros(3)])

@@ -123,10 +123,11 @@ def test_sphere_grid_is_the_flat_product(nodes, u_range, axis):
     u_all, phi_all = np.repeat(u, nodes), np.tile(phi, nodes)
     st = np.sqrt(np.clip(1.0 - u_all * u_all, 0.0, None))
     want = np.stack([st * np.cos(phi_all), st * np.sin(phi_all), u_all], axis=1)
+    points, weights = mis.sphere_grid(nodes, u_range)
     if axis is not None:
         theta_a, phi_a = sc.polar_from_unit(axis)
         want = want @ sc.rotation_from_euler(phi_a, theta_a, 0.0).T
-    points, weights = mis.sphere_grid(nodes, axis=axis, u_range=u_range)
+        points = mis._repole(points, axis)
     assert np.array_equal(points, want)
     assert np.array_equal(weights, np.repeat(wu, nodes) * (2.0 * np.pi / nodes))
 

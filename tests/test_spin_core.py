@@ -277,6 +277,15 @@ class TestUnitRows:
         with pytest.raises(ValueError, match=r"^d\[7\] is a zero vector$"):
             sc.unit_rows(np.array([[1.0, 0, 0], [1e-13, 0, 0]]), "d", [3, 7])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad", [[np.inf, 0, 0], [1e300, -np.inf, 0], [np.nan, 1, 0], [1, 1j * np.inf, 0]],
+        ids=["inf", "inf-overflow", "nan", "complex-inf"],
+    )
+    def test_non_finite_row_error_names_its_label(self, bad):
+        with pytest.raises(ValueError, match=r"^d\[7\] has non-finite components$"):
+            sc.unit_rows(np.array([[1.0, 0, 0], bad]), "d", [3, 7])
+
 
 class TestCanonicalPhase:
     def test_scales_and_rotates_phase(self):
@@ -333,6 +342,11 @@ class TestStacks:
         stacked = sc.spin_along(dirs)
         assert stacked.shape == (len(dirs), 3, 3)
         np.testing.assert_array_equal(_bits(stacked), _bits([sc.spin_along(n) for n in dirs]))
+
+    def test_polar_angles_match_row_by_row(self, rng):
+        dirs = np.concatenate([np.eye(3), -np.eye(3), sc.random_unit_vector(rng, 500)])
+        theta, phi = sc.polar_from_unit(dirs)
+        np.testing.assert_array_equal(_bits(np.stack([theta, phi], axis=1)), _bits([sc.polar_from_unit(n) for n in dirs]))
 
     def test_eigenvectors_and_projectors_match_row_by_row(self, rng):
         near_pole = [2e-16, 2.3e-16, 1.0]

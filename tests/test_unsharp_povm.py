@@ -109,19 +109,26 @@ class TestEffects:
 
     def test_matches_generic_integrator(self):
         # the oracle agrees with a plain sum of projectors over the same grid
-        # and with the closed form, and its symmetrization makes each effect
-        # Hermitian bit for bit; the poles and a direction within rounding
-        # of one exercise the re-poling
-        for n in (sc.unit_from_polar(1.1, 0.4), Z, -Z, np.array([2e-16, 2.3e-16, 1.0])):
-            for model in (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)):
+        # re-poled around n and with the closed form, and its symmetrization
+        # makes each effect Hermitian bit for bit; the poles and a direction
+        # within rounding of one exercise the rotation to n.  Row k of the
+        # call on the stack of the four directions is the call on the k-th
+        # bit for bit
+        directions = (sc.unit_from_polar(1.1, 0.4), Z, -Z, np.array([2e-16, 2.3e-16, 1.0]))
+        for model in (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)):
+            stacked = verify.sphere_effects(np.array(directions), model, 32)
+            for k, n in enumerate(directions):
                 triple = verify.sphere_effects(n, model, 32)
+                assert np.array_equal(stacked.direction[k], triple.direction)
+                assert all(np.array_equal(s[k], f) for s, f in zip(stacked.as_tuple(), triple.as_tuple()))
                 closed = up.effects(n, model)
-                points, weights = mis.sphere_grid(32, axis=n, u_range=model.support_u())
+                points, weights = mis.sphere_grid(32, model.support_u())
+                points = mis._repole(points, n)
                 dw = weights * model.density(points @ n)
                 oracle = [np.tensordot(dw, v[:, :, None] * v[:, None, :].conj(), axes=1)
                           for v in sc.eigenvector_rows(points)]
-                for k, i in enumerate((1, 0, -1)):
-                    assert max_abs(triple.effect(i) - oracle[k]) < 1e-10
+                for j, i in enumerate((1, 0, -1)):
+                    assert max_abs(triple.effect(i) - oracle[j]) < 1e-10
                     assert max_abs(triple.effect(i) - closed.effect(i)) < 1e-10
                     assert np.array_equal(triple.effect(i), triple.effect(i).conj().T)
 

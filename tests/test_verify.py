@@ -106,6 +106,11 @@ def _forward_convention(wigner_d1):
     return lambda r: wigner_d1(r).conj().swapaxes(-1, -2)
 
 
+def _inverse_rotation(repole):
+    # the rotation that carries the oracle's moments from the pole, transposed
+    return lambda local, axis: repole(local, axis).swapaxes(-1, -2)
+
+
 def _plus_minus_counts_swapped(simulate_outcomes):
     def mutant(*args, **kwargs):
         n_plus, n_zero, n_minus = simulate_outcomes(*args, **kwargs)
@@ -126,6 +131,7 @@ MUTANTS = {
     "effect-triples/F+ scaled by 1 + 1e-6": ("effect-triples", "sphere_effects", _plus_scaled),
     "effect-triples/+1 and 0 eigenvectors swapped": ("effect-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
+    "effect-triples/moments carried by the inverse rotation": ("effect-triples", "_repole", _inverse_rotation),
     "rotation-composition/forward convention": ("rotation-composition", "wigner_d1", _forward_convention),
     "simulator-consistency/+1 and -1 counts swapped": (
         "simulator-consistency", "simulate_outcomes", _plus_minus_counts_swapped
