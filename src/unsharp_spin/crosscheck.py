@@ -43,17 +43,21 @@ def brute_force_colorings(instance) -> tuple[int, dict | None]:
     Returns ``(count, example)`` where ``example`` is the valid coloring
     with the smallest bitmask (bit i set means ray i is AT), or None when
     the instance is non-colorable.  Only usable for small instances.
+    Each constraint is one test of its member bits: a pair is violated
+    when both bits are set, and a tripod holds exactly one AT when the
+    masked bits t are nonzero with t & (t - 1) zero (a single set bit).
     """
     n = instance.ray_count
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} rays, got {n}")
-    masks = np.arange(1 << n, dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.uint32)
     valid = np.ones(masks.shape, dtype=bool)
     for i, j in instance.ortho_pairs:
-        valid &= ~((masks >> i) & (masks >> j) & 1).astype(bool)
+        pair = np.uint32((1 << i) | (1 << j))
+        valid &= (masks & pair) != pair
     for a, b, c in instance.tripods:
-        ats = ((masks >> a) & 1) + ((masks >> b) & 1) + ((masks >> c) & 1)
-        valid &= ats == 1
+        t = masks & np.uint32((1 << a) | (1 << b) | (1 << c))
+        valid &= (t != 0) & ((t & (t - np.uint32(1))) == 0)
     count = int(np.count_nonzero(valid))
     example = None
     if count:

@@ -18,9 +18,11 @@ cos(theta) converges only algebraically.
 ``sphere_integral_matrix`` is a product rule on the sphere with one
 setting, ``nodes``: the same theta rule restricted to a band times a
 uniform periodic trapezoid in phi, ``nodes`` of each, about the z-axis.
-The library's effects do not use it; ``verify`` integrates the effects'
-moments on it once about the pole, as the oracle for their closed form,
-and carries them to each direction n by the rotation ``_repole`` applies
+The library's effects do not use it.  ``verify`` integrates the effects'
+moments by the same rule on the same weighted grid, once per model about
+the pole, as the oracle for their closed form: it sums over phi first,
+one matrix product per theta row, and then over the rows.  It carries
+the moments to each direction n by the rotation ``_repole`` applies
 (z to n), which the covariance above makes exact.  ``verify`` checks that
 covariance on sampled rotations (``density-covariance``).
 """
@@ -221,6 +223,16 @@ def sphere_grid(nodes: int = 64, u_range: tuple[float, float] = (-1.0, 1.0)) -> 
     return local.reshape(-1, 3), weights
 
 
+def _weighted_grid(weight, nodes: int, u_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    # the nodes of sphere_grid(nodes, u_range) and their quadrature weights
+    # times weight(nodes), the (N,) values of which may not be negative
+    points, weights = sphere_grid(nodes, u_range)
+    wv = np.asarray(weight(points), dtype=float)
+    if np.any(wv < 0.0):
+        raise ValueError("weight function returned a negative value")
+    return points, weights * wv
+
+
 def sphere_integral_matrix(
     f,
     weight,
@@ -236,8 +248,5 @@ def sphere_integral_matrix(
     so results are bit-stable.  ``u_range`` restricts integration to a
     band around the z-axis (e.g. the support of a cap density about it).
     """
-    points, weights = sphere_grid(nodes, u_range)
-    wv = np.asarray(weight(points), dtype=float)
-    if np.any(wv < 0.0):
-        raise ValueError("weight function returned a negative value")
-    return np.tensordot(weights * wv, np.asarray(f(points)), axes=1)
+    points, weights = _weighted_grid(weight, nodes, u_range)
+    return np.tensordot(weights, np.asarray(f(points)), axes=1)

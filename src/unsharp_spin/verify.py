@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import crosscheck, formats, ks_solver
-from .misalignment import AxialDensity, UniformCap, _repole, sphere_integral_matrix
+from .misalignment import AxialDensity, UniformCap, _repole, _weighted_grid, sphere_integral_matrix
 from .spin_core import (
     EffectTriple,
     random_rotation,
@@ -117,6 +117,19 @@ def check_density_normalization():
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 
 
+def _pole_moments(model, nodes: int) -> np.ndarray:
+    # int w m (row 0) and int w m m^T (rows 1-3) on the grid about the pole,
+    # (4, 3): the grid runs phi-fastest, so each theta row takes one
+    # (4, nodes) @ (nodes, 3) product of [1, m] w against m, and the rows
+    # are summed after
+    points, weights = _weighted_grid(lambda m: model.density(m[:, 2]), nodes, model.support_u())
+    m = points.reshape(nodes, nodes, 3)  # (theta, phi, component)
+    x = np.ones((nodes, 4, nodes))
+    x[:, 1:] = m.swapaxes(1, 2)
+    x *= weights.reshape(nodes, 1, nodes)
+    return np.sum(x @ m, axis=0)
+
+
 def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
     """The effect triple for direction ``n`` by spherical quadrature: the
     oracle for ``unsharp_povm.effects``.
@@ -124,34 +137,36 @@ def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
     Each effect is the average of the sharp projector P_{m,i} against the
     misalignment density w_n(m).  Since m.S has eigenvalues {1, 0, -1},
     P_{m,+1} = ((m.S)^2 + m.S)/2, P_{m,0} = I - (m.S)^2 and
-    P_{m,-1} = ((m.S)^2 - m.S)/2, so one ``sphere_integral_matrix`` call
-    on ``nodes`` theta by ``nodes`` phi nodes integrates only the first
-    and second moments mu = int w m and M = int w m m^T, and the effects
-    follow exactly from int w m.S = sum_a mu_a S_a,
+    P_{m,-1} = ((m.S)^2 - m.S)/2, so only the first and second moments
+    mu = int w m and M = int w m m^T are integrated, on the ``nodes``
+    theta by ``nodes`` phi product grid of ``sphere_grid``, and the
+    effects follow exactly from int w m.S = sum_a mu_a S_a,
     int w (m.S)^2 = sum_ab M_ab S_a S_b and the mass tr M.  The moments
-    are integrated once, about the pole on the density's support, where
-    they are low-degree trigonometric polynomials (the default 64 nodes
-    are therefore exact to rounding for the uniform cap), and carried to
-    n by the rotation R that ``_repole`` applies (z to n):
-    mu_n = R mu_z and M_n = R M_z R^T, the same product rule with the sum
-    taken before the rotation.  On an (N, 3) stack of directions sharing
-    the model the triple's fields are stacks, row k bit for bit the call
-    on ``n[k]``.  Nothing here assumes the triple is diagonal in the sharp
-    eigenbasis, so the checks that find it so establish the closed form.
+    are integrated once per model, about the pole on the density's
+    support, where they are low-degree trigonometric polynomials (the
+    default 64 nodes are therefore exact to rounding for the uniform cap):
+    the same product rule as ``sphere_integral_matrix``, with the phi sum
+    taken first, one matrix product per theta row.  They are carried to n
+    by the rotation R that ``_repole`` applies (z to n): mu_n = R mu_z and
+    M_n = R M_z R^T, the sum taken before the rotation.
+
+    ``n`` is one direction or a stack of them; the triple's fields are then
+    stacks, row k bit for bit the call on ``n[k]``.  ``model`` is one model
+    for every direction, or a list or tuple of K models for a (K, ..., 3) stack,
+    model k applying to ``n[k]``.  Nothing here assumes the triple is
+    diagonal in the sharp eigenbasis, so the checks that find it so
+    establish the closed form.
     """
     v = np.array(n, dtype=float)
-    rot = _repole(np.eye(3), v).swapaxes(-1, -2)  # R, z to n: (3, 3), or (N, 3, 3) on a stack
-
-    def moments(m):
-        # (N, 4, 3): row 0 is m, rows 1-3 are m m^T; built node-last, so
-        # each product runs over contiguous memory
-        x = np.ones((4, len(m)))
-        x[1:] = m.T
-        return (x[:, None, :] * x[None, 1:, :]).transpose(2, 0, 1)
-
-    moment = sphere_integral_matrix(moments, lambda m: model.density(m[:, 2]), nodes, u_range=model.support_u())
-    mu = rot @ moment[0]
-    big_m = rot @ moment[1:] @ rot.swapaxes(-1, -2)
+    if isinstance(model, (list, tuple)):  # (K, 1, ..., 4, 3): model k for every direction of n[k]
+        moment = np.stack([_pole_moments(m, nodes) for m in model])
+        moment = moment.reshape(moment.shape[:1] + (1,) * (v.ndim - 2) + (4, 3))
+    else:
+        moment = _pole_moments(model, nodes)
+    axes = v if v.ndim < 3 else v.reshape(-1, 3)  # _repole takes one axis or an (N, 3) stack
+    rot = _repole(np.eye(3), axes).swapaxes(-1, -2).reshape(v.shape[:-1] + (3, 3))  # R, z to n
+    mu = (moment[..., :1, :] @ rot.swapaxes(-1, -2))[..., 0, :]  # (R mu_z)^T
+    big_m = rot @ moment[..., 1:, :] @ rot.swapaxes(-1, -2)
     linear = np.tensordot(mu, _S, axes=1)  # int w m.S
     square = np.sum(_S @ np.tensordot(big_m, _S, axes=1), axis=-3)  # int w (m.S)^2
     mass = np.trace(big_m, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
@@ -250,18 +265,18 @@ def effect_triple_residuals() -> dict[str, float]:
     draws.  Covariance compares F_n and F_{R^-1 n}; every other property
     is measured on both triples of each pair."""
     rng = np.random.default_rng(SEED + 6)
-    r, directions, fs, want = [], [], [], []
+    r, pairs, caps, want = [], [], [], []
     for _ in range(100):
         n = random_unit_vector(rng)
         eps = EPS_MIN + rng.random() * (np.pi - EPS_MIN)
         r.append(random_rotation(rng))
-        model, alphas = UniformCap(eps), alphas_uniform_cap(eps)
-        pair = sphere_effects(np.array([n, r[-1].T @ n]), model)  # F_n and F_{R^-1 n}, one cap
-        directions.append(pair.direction)
-        fs.append(np.stack(pair.as_tuple(), axis=1))
+        pairs.append([n, r[-1].T @ n])  # F_n and F_{R^-1 n} share the draw's cap
+        caps.append(UniformCap(eps))
+        alphas = alphas_uniform_cap(eps)
         want += 2 * [[alphas.spectrum(i) for i in (1, 0, -1)]]
-    fs = np.concatenate(fs)  # (triple, outcome, 3, 3): F_n, then F_{R^-1 n}, per draw
-    bases = np.stack(sharp_eigenvectors(np.concatenate(directions)), axis=-1)  # eigenvectors as columns
+    triples = sphere_effects(np.array(pairs), caps)  # fields (draw, 2, ...)
+    fs = np.stack(triples.as_tuple(), axis=2).reshape(-1, 3, 3, 3)  # (triple, outcome, 3, 3): F_n, then F_{R^-1 n}
+    bases = np.stack(sharp_eigenvectors(triples.direction.reshape(-1, 3)), axis=-1)  # eigenvectors as columns
     cov = _conjugation_residual(wigner_d1(np.array(r)), fs[0::2], fs[1::2])
     return dict(zip(EFFECT_TOLERANCES, (*_triple_residuals(fs, bases, np.array(want)), cov)))
 

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -349,6 +350,25 @@ class TestSolver:
             assert result.count == fibonacci(m + 1) + 2 * fibonacci(m + 2)
             if 3 + m <= cc.BRUTE_FORCE_LIMIT:
                 assert cc.brute_force_colorings(inst)[0] == result.count
+
+    def test_brute_force_at_its_limit(self):
+        # 22 rays with constraints on ray 21, the top bit of the masks.  The
+        # reference enumerates the rays the constraints touch with
+        # itertools.product; each free ray doubles the count and is AF in
+        # the smallest valid mask
+        tripods = [(0, 10, 21), (19, 20, 21)]
+        pairs = sorted([(i, j) for t in tripods for i, j in itertools.combinations(t, 2)] + [(1, 20), (1, 21)])
+        touched = sorted({r for pair in pairs for r in pair})
+        valid = []
+        for colors in itertools.product((False, True), repeat=len(touched)):
+            at = dict(zip(touched, colors))
+            if not any(at[i] and at[j] for i, j in pairs) and all(sum(at[r] for r in t) == 1 for t in tripods):
+                valid.append(sum(1 << r for r in touched if at[r]))
+        count, example = cc.brute_force_colorings(free_instance(22, pairs, tripods))
+        assert count == len(valid) << (22 - len(touched))
+        assert example == {i: "AT" if (min(valid) >> i) & 1 else "AF" for i in range(22)}
+        with pytest.raises(ValueError, match="limited to 22 rays, got 23"):
+            cc.brute_force_colorings(free_instance(23, pairs, tripods))
 
     def test_dpll_deeper_than_recursion_limit(self):
         # one decision per unconstrained ray, 1200 levels deep

@@ -113,14 +113,21 @@ class TestEffects:
         # makes each effect Hermitian bit for bit; the poles and a direction
         # within rounding of one exercise the rotation to n.  Row k of the
         # call on the stack of the four directions is the call on the k-th
-        # bit for bit
+        # bit for bit, and so is row (k // 2, k % 2) of one call with model
+        # k // 2 on each row of the (2, 2, 3) stack of them
         directions = (sc.unit_from_polar(1.1, 0.4), Z, -Z, np.array([2e-16, 2.3e-16, 1.0]))
-        for model in (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2)):
+        models = (mis.UniformCap(0.8), mis.AxialDensity(0.9, lambda t: np.cos(t / 2) ** 2))
+        paired = verify.sphere_effects(np.reshape(directions, (2, 2, 3)), list(models), 32)
+        for index, model in enumerate(models):
             stacked = verify.sphere_effects(np.array(directions), model, 32)
             for k, n in enumerate(directions):
                 triple = verify.sphere_effects(n, model, 32)
                 assert np.array_equal(stacked.direction[k], triple.direction)
                 assert all(np.array_equal(s[k], f) for s, f in zip(stacked.as_tuple(), triple.as_tuple()))
+                if k // 2 == index:
+                    row = (k // 2, k % 2)
+                    assert np.array_equal(paired.direction[row], triple.direction)
+                    assert all(np.array_equal(s[row], f) for s, f in zip(paired.as_tuple(), triple.as_tuple()))
                 closed = up.effects(n, model)
                 points, weights = mis.sphere_grid(32, model.support_u())
                 points = mis._repole(points, n)
@@ -131,6 +138,14 @@ class TestEffects:
                     assert max_abs(triple.effect(i) - oracle[j]) < 1e-10
                     assert max_abs(triple.effect(i) - closed.effect(i)) < 1e-10
                     assert np.array_equal(triple.effect(i), triple.effect(i).conj().T)
+
+    def test_oracle_rejects_a_negative_density(self, monkeypatch):
+        # the quadrature's guard holds for one model and for a sequence
+        model = mis.UniformCap(0.8)
+        monkeypatch.setattr(model, "density", lambda u: -np.ones(np.shape(u)))
+        for n, given in ((Z, model), (np.array([[Z, -Z]]), [model])):
+            with pytest.raises(ValueError, match="negative"):
+                verify.sphere_effects(n, given)
 
     def test_missed_normalization_shows_in_oracle_residual(self):
         # a profile with a kink inside its support converges only

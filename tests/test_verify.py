@@ -14,10 +14,12 @@ Two kinds of test ride along under the same test function:
   (``solver-vs-brute-force`` covers the count_all mode).
 
 A second test breaks the library function a sampled check guards, in
-``verify``'s namespace, and asserts that the check then fails; a third
-breaks the color rule ``ks_pipeline`` lifts with, in ``ks_solver``'s.
+``verify``'s namespace, and asserts that the check then fails; the last
+ones break the color rule ``ks_pipeline`` lifts with, the solver's count
+or the brute-force enumerator, in their own modules' namespaces.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -101,6 +103,11 @@ def _plus_scaled(sphere_effects):
     return mutant
 
 
+def _caps_reversed(sphere_effects):
+    # each draw's pair integrated with the cap of the draw at the mirror position
+    return lambda n, model: sphere_effects(n, model[::-1])
+
+
 def _forward_convention(wigner_d1):
     # swapaxes, not .T: the checks pass wigner_d1 a stack of rotations
     return lambda r: wigner_d1(r).conj().swapaxes(-1, -2)
@@ -132,6 +139,7 @@ MUTANTS = {
     "effect-triples/+1 and 0 eigenvectors swapped": ("effect-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
     "effect-triples/moments carried by the inverse rotation": ("effect-triples", "_repole", _inverse_rotation),
+    "effect-triples/caps paired with the wrong draws": ("effect-triples", "sphere_effects", _caps_reversed),
     "rotation-composition/forward convention": ("rotation-composition", "wigner_d1", _forward_convention),
     "simulator-consistency/+1 and -1 counts swapped": (
         "simulator-consistency", "simulate_outcomes", _plus_minus_counts_swapped
@@ -162,3 +170,31 @@ def test_real_embedding_fails_on_a_broken_color_rule(monkeypatch):
     ok, detail = verify.check_real_embedding()
     assert not ok, detail
     assert detail.endswith("on 2/4 direction sets, not xyz, not peres-20")
+
+
+def test_solver_vs_brute_force_fails_on_a_count_one_too_low(monkeypatch):
+    # every sampled sub-instance is colorable, so each count_all count is off
+    solve_coloring = ks_solver.solve_coloring
+
+    def low(instance, mode="first_solution"):
+        result = solve_coloring(instance, mode=mode)
+        return dataclasses.replace(result, count=result.count - 1) if mode == "count_all" and result.is_sat else result
+
+    monkeypatch.setattr(ks_solver, "solve_coloring", low)
+    ok, detail = verify.check_solver_against_brute_force()
+    assert not ok, detail
+    assert detail == "100 mismatches in 100 sampled sub-instances"
+
+
+def test_solver_vs_brute_force_fails_when_brute_force_ignores_tripods(monkeypatch):
+    # without its tripods an instance has more colorings: every sub-instance
+    # with a tripod counts differently
+    brute_force_colorings = crosscheck.brute_force_colorings
+
+    def pairs_only(instance):
+        return brute_force_colorings(dataclasses.replace(instance, tripods=()))
+
+    monkeypatch.setattr(crosscheck, "brute_force_colorings", pairs_only)
+    ok, detail = verify.check_solver_against_brute_force()
+    assert not ok, detail
+    assert detail == "37 mismatches in 100 sampled sub-instances"
