@@ -81,8 +81,8 @@ def _number_rows(rows: list, fields: tuple, where: str, labels=None) -> np.ndarr
 
 
 def load_ray_file(path) -> tuple[str, list[np.ndarray]]:
-    """Load a real ray-set file: its rows, normalized, phase-fixed and
-    deduplicated by ``canonicalize_and_dedupe``.
+    """Load a real ray-set file: its rows, normalized and deduplicated by
+    ``canonicalize_and_dedupe``, as float64 rays.
 
     Only the benchmark reads ray files; the package reads direction sets.
     """

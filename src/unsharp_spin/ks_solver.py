@@ -1,8 +1,8 @@
 """Ray sets, orthogonality graphs, and exhaustive AT/AF colorability.
 
 A measurement direction contributes an orthogonal triple of eigenrays; a
-set of directions yields a finite family of complex rays with an
-orthogonality graph.  A noncontextual assignment of approximate truth
+set of directions yields a finite family of rays (unit rows, real or
+complex, equal up to a phase) with an orthogonality graph.  A noncontextual assignment of approximate truth
 values must color every ray AT or AF so that every complete orthogonal
 tripod contains exactly one AT and no orthogonal pair contains two ATs.
 For spin 1 this instance is the orthogonality graph of the directions
@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .crosscheck import check_coloring
-from .spin_core import as_unit_directions, canonical_phase, eigenvector_rows
+from .spin_core import as_unit_directions, sharp_eigenvectors, unit_rows
 from .unsharp_povm import AF, AT, Alphas, alphas_for_model, color_assignment, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
@@ -52,13 +52,16 @@ def _overlap_blocks(matrix: np.ndarray):
 
 
 def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
-    """Normalize, phase-fix and deduplicate a stack of complex 3-vectors.
+    """Normalize and deduplicate a stack of real or complex 3-vectors.
 
-    Rays are kept in order of first occurrence; two vectors are the same
-    ray when their overlap magnitude is at least 1 - 1e-9, and a vector
-    is dropped only when it is the same ray as an earlier *kept* one
-    (so in a chain a≈b, b≈c with a≉c, b is dropped and c kept).
-    ``canonical_phase`` rejects a zero vector and names its row.
+    Each row is divided by its norm (``unit_rows``, which rejects a zero
+    or non-finite row and names it) and keeps its dtype and its phase:
+    real rows come out float64, complex rows complex, and a ray is a row
+    up to a sign or a phase.  Rays are kept in order of first occurrence;
+    two vectors are the same ray when their overlap magnitude is at
+    least 1 - 1e-9, and a vector is dropped only when it is the same ray
+    as an earlier *kept* one (so in a chain a≈b, b≈c with a≉c, b is
+    dropped and c kept).
 
     Overlaps come from |R Rᴴ| in blocks of ``OVERLAP_BLOCK_ROWS`` rows, so
     at most ``OVERLAP_BLOCK_ROWS * n`` overlaps are held at a time for n
@@ -67,18 +70,18 @@ def canonicalize_and_dedupe(vectors) -> list[np.ndarray]:
     """
     if len(vectors) == 0:
         return []
-    stack = np.asarray(vectors, dtype=complex)
+    stack = np.asarray(vectors)
     if stack.ndim != 2 or stack.shape[1] != 3:
         raise ValueError(f"rays must be 3-vectors, got an array of shape {stack.shape}")
-    canonical = canonical_phase(stack)
+    units = unit_rows(stack)
     near_duplicates_of: dict[int, list[int]] = {}
-    for start, block in _overlap_blocks(canonical):
+    for start, block in _overlap_blocks(units):
         for i, j in (np.argwhere(block >= DEDUPE_OVERLAP) + start).tolist():
             near_duplicates_of.setdefault(j, []).append(i)
-    kept = [True] * len(canonical)
+    kept = [True] * len(units)
     for j in sorted(near_duplicates_of):
         kept[j] = not any(kept[i] for i in near_duplicates_of[j])
-    return list(canonical[kept])
+    return list(units[kept])
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def build_graph(rays) -> KsInstance:
     each pair by every common later neighbor k > j.  Raises on the first
     pair, in row-major order, that is the same ray.
     """
-    rays = np.asarray(rays, dtype=complex)
+    rays = np.asarray(rays) * 1.0  # integer rows as float64; float and complex rows keep their dtype
     pairs = []
     for start, block in _overlap_blocks(rays):
         same = np.argwhere(block >= DEDUPE_OVERLAP) + start
@@ -125,19 +128,21 @@ def build_graph(rays) -> KsInstance:
 
 def eigenray_set(directions) -> list[np.ndarray]:
     """Shared eigenrays of the (sharp and unsharp) observables of a
-    direction set, canonicalized and deduplicated: ``ks_pipeline``'s oracle.
+    direction set, deduplicated: ``ks_pipeline``'s oracle.
 
-    Per direction these are the three eigenrays of the directional spin
-    observable; the unsharp effects have the same eigenrays, and taking
-    them from the sharp triple keeps the choice deterministic even though
-    the outcome-0 effect is spectrally degenerate.  Note the directions
-    themselves are generally not among the rays.  Near-parallel or
-    near-antipodal directions with 1e-9 < 1 - |n.n'| <= 2e-9 have their
-    +-1 rays merged but their 0-rays kept apart, which splits the second
-    eigenbasis; there ``ks_pipeline``, which keeps both, is the reference.
+    Per direction these are the three complex eigenrays of the
+    directional spin observable, ``sharp_eigenvectors`` in the order
+    (+1, 0, -1), with no phase fixed; the unsharp effects have the same
+    eigenrays, and taking them from the sharp triple keeps the choice
+    deterministic even though the outcome-0 effect is spectrally
+    degenerate.  Note the directions themselves are generally not among
+    the rays.  Near-parallel or near-antipodal directions with
+    1e-9 < 1 - |n.n'| <= 2e-9 have their +-1 rays merged but their
+    0-rays kept apart, which splits the second eigenbasis; there
+    ``ks_pipeline``, which keeps both, is the reference.
     """
     # rows (+1, 0, -1) per direction, in direction order
-    vectors = np.stack(eigenvector_rows(as_unit_directions(directions)), axis=1).reshape(-1, 3)
+    vectors = np.stack(sharp_eigenvectors(as_unit_directions(directions)), axis=1).reshape(-1, 3)
     return canonicalize_and_dedupe(vectors)
 
 

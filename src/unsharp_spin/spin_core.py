@@ -1,7 +1,8 @@
 """Spin-1 operator algebra.
 
-Spin component matrices, directional spin observables and their rank-1
-eigenprojectors, rotations built from z-y-z Euler angles, and the spin-1
+Spin component matrices, directional spin observables n.S, their rank-1
+eigenprojectors as polynomials in n.S and their closed-form
+eigenvectors, rotations built from z-y-z Euler angles, and the spin-1
 unitary action of spatial rotations.  Spin 1 is the vector
 representation, so that unitary is U(R) = C R C^dag for one fixed basis
 change C.  Everything operates on plain numpy arrays; all returned arrays
@@ -18,7 +19,6 @@ SQRT2 = float(np.sqrt(2.0))
 
 UNIT_TOL = 1e-12          # |n.n - 1| tolerance for unit vectors
 ROTATION_TOL = 1e-9       # orthogonality and determinant tolerance for rotations
-PHASE_TOL = 1e-9          # "first nonzero component" threshold for phase fixing
 
 _SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
 _SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
@@ -26,7 +26,7 @@ _SZ = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
 # Cartesian components -> (+1, 0, -1) basis.  C L_a C^dag = S_a for the
 # Cartesian generators (L_a)_bc = -i eps_abc, and column a is the outcome-0
-# eigenvector of axis a, as eigenvector_rows(np.eye(3))[1] gives it.
+# eigenvector of axis a, as sharp_eigenvectors(np.eye(3))[1] gives it.
 _C = np.array([[-1, 1j, 0], [0, 0, SQRT2], [1, 1j, 0]]) / SQRT2
 
 
@@ -120,36 +120,21 @@ def unit_rows(v, name: str = "rays", labels=None) -> np.ndarray:
     return w / norm[:, None]
 
 
-def canonical_phase(v) -> np.ndarray:
-    """Normalize each row of ``v`` (one vector or an (N, d) stack) by
-    ``unit_rows``, which names a zero row ``rays[k]``, and fix its global
-    phase: the first component with magnitude above ``PHASE_TOL`` becomes
-    real and positive, which makes rays comparable across runs.  Each row
-    comes out bit for bit as it would alone: magnitudes are ``np.hypot``,
-    as scalar ``abs`` (``np.abs`` is not)."""
-    v = np.asarray(v, dtype=complex)
-    w = unit_rows(v.reshape(-1, v.shape[-1]))
-    mag = np.hypot(w.real, w.imag)
-    # lead: the first component above PHASE_TOL, which every unit row has
-    rows, lead = np.arange(len(w)), (mag > PHASE_TOL).argmax(axis=1)
-    w = w * (w[rows, lead].conj() / mag[rows, lead])[:, None]
-    w[rows, lead] = w[rows, lead].real  # discard residual imaginary dust
-    return w.reshape(v.shape)
+def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors of spin_along(n) for eigenvalues (+1, 0, -1),
+    in closed form rather than by a numerical eigensolve.
 
-
-def eigenvector_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form eigenvectors of the spin observable along each row of
-    ``points``.
-
-    Returns three (N, 3) complex arrays: the +1, 0 and -1 eigenvectors for
-    each direction, in unit norm but with no phase fixed.  Each row is
-    normalized first, so a direction that is unit only within
-    ``UNIT_TOL`` still yields a triple orthonormal to rounding.  Written
-    in the Cartesian components (w = x + iy carries the azimuthal phase),
-    which avoids transcendentals on large batches.
+    ``n`` is one direction or an (N, 3) stack of them; on a stack each of
+    the three is (N, 3), row k bit for bit the call on ``n[k]``.  Each
+    direction is normalized first, so one that is unit only within
+    ``UNIT_TOL`` still yields a triple orthonormal to rounding.  No phase
+    is fixed: no probability, effect or overlap magnitude depends on it.
+    Written in the Cartesian components (w = x + iy carries the azimuthal
+    phase), which avoids transcendentals on large batches.
     """
-    p = np.asarray(points, dtype=float)
-    x, y, z = (p / np.linalg.norm(p, axis=1, keepdims=True)).T
+    v = np.asarray(n, dtype=float)
+    units = as_unit_vector(v)[None, :] if v.ndim == 1 else as_unit_directions(v)
+    x, y, z = (units / np.linalg.norm(units, axis=1, keepdims=True)).T
     xy = x + 1j * y
     w = xy / SQRT2
     s2 = x * x + y * y
@@ -160,22 +145,7 @@ def eigenvector_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     plus = np.stack([up_half + 0j, w, e2 * dn_half], axis=1)
     zero = np.stack([-w.conj(), z + 0j, w], axis=1)
     minus = np.stack([e2.conj() * dn_half, -w.conj(), up_half + 0j], axis=1)
-    return plus, zero, minus
-
-
-def sharp_eigenvectors(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal eigenvectors of spin_along(n) for eigenvalues (+1, 0, -1).
-
-    ``n`` is one direction or an (N, 3) stack of them; on a stack each of
-    the three is (N, 3).  It is ``canonical_phase`` over the stacked
-    ``eigenvector_rows``: closed forms rather than a numerical eigensolve,
-    so the vectors are deterministic, orthonormal up to rounding, and each
-    row comes out bit for bit as it would alone.
-    """
-    v = np.asarray(n, dtype=float)
-    units = as_unit_vector(v)[None, :] if v.ndim == 1 else as_unit_directions(v)
-    rows = canonical_phase(np.concatenate(eigenvector_rows(units))).reshape(3, *units.shape)
-    return tuple(rows[:, 0] if v.ndim == 1 else rows)
+    return (plus[0], zero[0], minus[0]) if v.ndim == 1 else (plus, zero, minus)
 
 
 @dataclass(frozen=True)
@@ -212,16 +182,20 @@ class EffectTriple:
 
 
 def sharp_projectors(n) -> EffectTriple:
-    """Eigenprojectors |psi_i><psi_i| of spin_along(n) for i = +1, 0, -1:
-    idempotent, mutually orthogonal, and summing to the identity.
+    """Eigenprojectors of S_n = spin_along(n) for eigenvalues +1, 0, -1:
+    (S_n^2 + S_n)/2, I - S_n^2 and (S_n^2 - S_n)/2, since S_n has
+    eigenvalues {1, 0, -1}.  They are idempotent, mutually orthogonal and
+    sum to the identity; ``verify``'s projector-triples check finds them
+    equal to |psi_i><psi_i| for ``sharp_eigenvectors``.
 
     On an (N, 3) stack of directions the fields are stacks too: the
     triple's direction is (N, 3) and each projector (N, 3, 3), row k as
     ``sharp_projectors(n[k])`` gives it.
     """
     direction = np.array(n, dtype=float)
-    psis = sharp_eigenvectors(direction)
-    return EffectTriple(direction, *(psi[..., :, None] * psi[..., None, :].conj() for psi in psis))
+    s_n = spin_along(direction)
+    square = s_n @ s_n
+    return EffectTriple(direction, (square + s_n) / 2.0, np.eye(3) - square, (square - s_n) / 2.0)
 
 
 def rotation_z(angle) -> np.ndarray:
@@ -286,9 +260,9 @@ def random_unit_vector(rng: np.random.Generator, size: int | None = None) -> np.
     normalize is redrawn).  One draw is row 0 of a 1-row block, so row k
     of a block is bit for bit the k-th of ``size`` single draws."""
     v = rng.standard_normal((1 if size is None else size, 3))
-    while (short := np.sqrt(_squared_norms(v)) <= 1e-6).any():
+    while (short := (norm := np.sqrt(_squared_norms(v))) <= 1e-6).any():
         v[short] = rng.standard_normal((short.sum(), 3))
-    v = unit_rows(v)
+    v = v / norm[:, None]  # as unit_rows divides, without its checks
     return v[0] if size is None else v
 
 

@@ -8,10 +8,11 @@ the effects form a commuting POVM that shares the eigenbasis of the sharp
 observable along n; its eigenvalues are four model-dependent numbers
 a1..a4.  This module evaluates a1..a4 (in closed form for the uniform
 cap, by the model's 1-D axial rule otherwise), builds the effects from
-them and the sharp eigenprojectors of n, locates the unsharpness
-threshold, and implements outcome probabilities, outcome simulation, and
-the one AT/AF/U threshold color rule of the eigenrays, which
-``ks_pipeline`` lifts direction colors with.  The spherical average itself
+them and the sharp eigenprojectors of n, which are polynomials in n.S
+(no eigenvector and no phase convention enters), locates the
+unsharpness threshold, and implements outcome probabilities, outcome
+simulation, and the one AT/AF/U threshold color rule of the eigenrays,
+which ``ks_pipeline`` lifts direction colors with.  The spherical average itself
 is integrated only in ``verify.sphere_effects``, the oracle that
 establishes this construction.
 """
@@ -129,11 +130,13 @@ def effects(n, model) -> EffectTriple:
 def effects_from_alphas(n, alphas: Alphas) -> EffectTriple:
     """Build the effect triple directly from its eigenvalues.
 
-    The effects are diagonal in the sharp eigenbasis of the direction:
-    F(i) carries ``alphas.spectrum(i)`` on the (+1, 0, -1) eigenrays.
-    They sum to the identity and lie between 0 and 1 by construction: the
-    sharp projectors sum to I, and ``Alphas`` checks that each spectrum
-    lies in [0, 1] and sums to 1.
+    F(i) = a P_+ + b P_0 + c P_- for (a, b, c) = ``alphas.spectrum(i)``,
+    over the sharp projectors of the direction, which ``sharp_projectors``
+    builds as polynomials in S_n = n.S, so no eigenvector is built.  The
+    effects are diagonal in the sharp eigenbasis and carry the spectrum
+    on the (+1, 0, -1) eigenrays.  They sum to the identity and lie
+    between 0 and 1 by construction: the sharp projectors sum to I, and
+    ``Alphas`` checks that each spectrum lies in [0, 1] and sums to 1.
     """
     n = as_unit_vector(n, "n")
     p_plus, p_zero, p_minus = sharp_projectors(n).as_tuple()
@@ -254,11 +257,13 @@ def color_assignment(alphas: Alphas, delta: float, outcome: int) -> tuple[str, s
     """Threshold colors of the (+1, 0, -1) eigenrays after an outcome.
 
     This is the one color rule.  The rays are the sharp eigenrays of the
-    direction (``sharp_eigenvectors``): the unsharp effects share them,
-    and since the outcome-0 effect is degenerate, the sharp triple is the
-    deterministic choice of eigenbasis.  A ray whose eigenvalue under the
-    outcome's effect is at least 1 - delta is colored AT, at most delta
-    AF, and anything between gets the noncommittal U.
+    direction, in the (+1, 0, -1) order of ``sharp_eigenvectors``: the
+    unsharp effects share them, and since the outcome-0 effect is
+    degenerate, the sharp triple is the deterministic choice of
+    eigenbasis.  Only each ray's eigenvalue enters, so no eigenvector is
+    built.  A ray whose eigenvalue under the outcome's effect is at least
+    1 - delta is colored AT, at most delta AF, and anything between gets
+    the noncommittal U.
     """
     delta = check_delta(delta)
     if outcome not in (1, 0, -1):

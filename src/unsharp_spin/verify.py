@@ -29,7 +29,6 @@ from .spin_core import (
     random_unit_vector,
     sharp_eigenvectors,
     sharp_projectors,
-    spin_along,
     spin_matrices,
     unit_from_polar,
     unit_rows,
@@ -58,16 +57,16 @@ def _cap_profile(theta):
 
 
 def check_projector_triples():
-    """Idempotence, mutual orthogonality, completeness, spectral sum, and
-    P_+ + P_- = (n.S)^2, the identity ``sphere_effects`` integrates by."""
+    """The projectors, polynomials in n.S, are |psi_i><psi_i| for the
+    closed-form eigenvectors of outcomes +1, 0, -1 (which ties those to
+    n.S, and establishes the identities ``sphere_effects`` integrates
+    by), and are idempotent, mutually orthogonal and complete."""
     n = random_unit_vector(np.random.default_rng(SEED), 100)
     ps = np.stack(sharp_projectors(n).as_tuple(), axis=1)  # (draw, outcome, 3, 3)
-    s_n = spin_along(n)
-    plus, minus = ps[:, 0], ps[:, 2]
+    psis = np.stack(sharp_eigenvectors(n), axis=1)  # (draw, outcome, 3)
     residuals = (
+        ps - psis[..., :, None] * psis[..., None, :].conj(),
         ps.sum(axis=1) - np.eye(3),
-        plus - minus - s_n,
-        plus + minus - s_n @ s_n,
         ps @ ps - ps,
         *(ps[:, i] @ ps[:, j] for i, j in ((0, 1), (0, 2), (1, 2))),
     )

@@ -326,6 +326,29 @@ class TestImports:
         assert "unsharp_spin.verify" not in imported
         assert "conclusion: KS_CONTRADICTION" in run.stdout
 
+    def test_product_path_builds_no_eigenvector(self, monkeypatch, capsys):
+        # the effects are polynomials in n.S and the KS check compares unit
+        # rows, so every binding of sharp_eigenvectors may raise
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the product path built an eigenvector")
+
+        loaded = [m for name, m in sys.modules.items() if name.startswith("unsharp_spin.")]
+        bindings = {m for m in loaded if hasattr(m, "sharp_eigenvectors")}
+        for module in bindings | {unsharp_spin, unsharp_spin.spin_core, unsharp_spin.ks_solver}:
+            monkeypatch.setattr(module, "sharp_eigenvectors", forbidden)
+        n, model, psi = unsharp_spin.unit_from_polar(0.7, 1.3), unsharp_spin.UniformCap(0.4), np.array([0.6, 0.8j, 0.0])
+        unsharp_spin.outcome_probabilities(psi, unsharp_spin.effects(n, model))
+        unsharp_spin.simulate_outcomes(psi, n, model, 1000, seed=3)
+        _, peres = formats.load_direction_file(PERES)
+        assert unsharp_spin.ks_pipeline(peres, model, 0.1).conclusion == "KS_CONTRADICTION"
+        for argv in (
+            ["effects", "--direction", "0.7,1.3", "--epsilon", "0.4"],
+            ["prob", *STATE_EPS, "--direction", "0.7,1.3"],
+            ["simulate", *STATE_EPS, "--direction", "0.7,1.3", "--trials", "1000"],
+            ["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.1"],
+        ):
+            assert run_cli(argv, capsys)[0] == 0, argv
+
 
 class TestVerify:
     def test_pass_and_fail_lines(self, capsys, tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ X, Y, Z = np.eye(3)
 def reference_dedupe(vectors):
     rays = []
     for v in vectors:
-        ray = sc.canonical_phase(np.asarray(v, dtype=complex))
+        ray = np.asarray(v) / np.linalg.norm(v)
         if not any(abs(np.vdot(known, ray)) >= ks.DEDUPE_OVERLAP for known in rays):
             rays.append(ray)
     return rays
@@ -88,7 +88,6 @@ class TestDedupe:
         # b merges into a; c is only a duplicate of the dropped b, so it stays
         rays = ks.canonicalize_and_dedupe([a, b, c])
         assert len(rays) == 2
-        np.testing.assert_array_equal(rays[1], sc.canonical_phase(c))
         # led by b, the chain collapses to b
         assert len(ks.canonicalize_and_dedupe([b, a, c])) == 1
         # with c kept before b, b merges into a
@@ -167,3 +166,22 @@ class TestGraph:
         assert inst.ortho_pairs == () and inst.tripods == ()
         inst = ks.build_graph([Z])
         assert inst.ray_count == 1 and inst.ortho_pairs == ()
+
+
+@pytest.mark.parametrize("name", ["peres33", "integer49", "random"])
+def test_real_rays_stay_float64_and_match_their_complex_cast(name):
+    if name == "random":
+        # generic rows of any length, rows b and c that complete the first
+        # 20 to orthogonal triads, and negated or rescaled copies of 30 rows
+        v = np.random.default_rng(44).normal(size=(150, 3))
+        b = np.cross(v[:20], v[20:40])
+        real = np.concatenate([v, b, np.cross(v[:20], b), -2.5 * v[:20], 1e-3 * v[100:110]])
+    else:
+        real = np.array(formats.load_direction_file(formats.fixture_path(f"{name}_directions.json"))[1])
+    rays, cast = ks.canonicalize_and_dedupe(real), ks.canonicalize_and_dedupe(real.astype(complex))
+    assert {r.dtype for r in rays} == {np.dtype(float)} and {r.dtype for r in cast} == {np.dtype(complex)}
+    # complex division by the norm multiplies by its reciprocal: the last bit may differ
+    np.testing.assert_allclose(np.array(rays), np.array(cast), rtol=0, atol=2e-16)
+    graph, cast_graph = ks.build_graph(rays), ks.build_graph(cast)
+    assert graph.ortho_pairs == cast_graph.ortho_pairs and graph.tripods == cast_graph.tripods
+    assert graph.ray_count == len(real) - 30 * (name == "random") and graph.tripods

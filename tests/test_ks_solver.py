@@ -177,6 +177,7 @@ class TestBuildGraph:
         assert inst.ray_count == 3
         assert inst.ortho_pairs == ((0, 1), (0, 2), (1, 2))
         assert inst.tripods == ((0, 1, 2),)
+        assert ks.build_graph([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == inst  # integer rows
 
     def test_xyz_eigenrays(self):
         rays = ks.eigenray_set([X, Y, Z])

@@ -19,7 +19,7 @@ def identity(m):
 
 def projector(m, k=0):
     # batched sharp projectors onto eigenvector k (0, 1, 2 for +1, 0, -1) of m.S
-    v = sc.eigenvector_rows(m)[k]
+    v = sc.sharp_eigenvectors(m)[k]
     return v[:, :, None] * v[:, None, :].conj()
 
 

@@ -143,15 +143,16 @@ class TestSharpProjectors:
             assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-15
 
     def test_projectors_are_quadratic_in_spin_along(self, rng):
-        # eigenvalues {1, 0, -1} make each projector a polynomial in n.S
+        # eigenvalues {1, 0, -1} make each projector a polynomial in n.S:
+        # the outer products of the closed-form eigenvectors equal it
         for _ in range(50):
             n = sc.random_unit_vector(rng)
             s_n = sc.spin_along(n)
             square = s_n @ s_n
-            triple = sc.sharp_projectors(n)
-            assert max_abs(triple.f_plus - (square + s_n) / 2) < 1e-12
-            assert max_abs(triple.f_zero - (np.eye(3) - square)) < 1e-12
-            assert max_abs(triple.f_minus - (square - s_n) / 2) < 1e-12
+            plus, zero, minus = (np.outer(v, v.conj()) for v in sc.sharp_eigenvectors(n))
+            assert max_abs(plus - (square + s_n) / 2) < 1e-12
+            assert max_abs(zero - (np.eye(3) - square)) < 1e-12
+            assert max_abs(minus - (square - s_n) / 2) < 1e-12
 
     def test_poles(self):
         for n in ([0, 0, 1], [0, 0, -1]):
@@ -249,20 +250,6 @@ class TestWignerD1:
             assert max_abs(unitary(r) - oracle) < 1e-12
 
 
-def scalar_canonical_phase(v):
-    """Phase fix of one vector in scalar steps: ``np.linalg.norm`` of the
-    vector and Python ``abs`` of each component."""
-    w = np.asarray(v, dtype=complex)
-    w = w / float(np.linalg.norm(w))
-    for k in range(len(w)):
-        a = abs(w[k])
-        if a > sc.PHASE_TOL:
-            w = w * (w[k].conjugate() / a)
-            w[k] = w[k].real
-            return w
-    raise AssertionError("no component above PHASE_TOL")
-
-
 class TestUnitRows:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_rows_normalize(self):
@@ -285,43 +272,6 @@ class TestUnitRows:
     def test_non_finite_row_error_names_its_label(self, bad):
         with pytest.raises(ValueError, match=r"^d\[7\] has non-finite components$"):
             sc.unit_rows(np.array([[1.0, 0, 0], bad]), "d", [3, 7])
-
-
-class TestCanonicalPhase:
-    def test_scales_and_rotates_phase(self):
-        v = np.array([0, 2.0, 0]) * np.exp(1j * 0.7)
-        out = sc.canonical_phase(v)
-        np.testing.assert_allclose(out, [0, 1, 0], atol=1e-15)
-
-    def test_first_nonzero_real_positive(self):
-        v = np.array([0.3j, 0.5, 0.1]) / np.linalg.norm([0.3, 0.5, 0.1])
-        out = sc.canonical_phase(v)
-        assert out[0].imag == 0.0 and out[0].real > 0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            sc.canonical_phase([0, 0, 0])
-
-    def test_stack_matches_row_by_row_bit_for_bit(self):
-        rng = np.random.default_rng(2024)
-        stack = rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3))
-        stack[:100] = stack[:100].real  # real rows
-        stack[100:200] *= 1e-6
-        # leading component at or below PHASE_TOL, so the phase is fixed on a later one
-        stack[200:300, 0] *= rng.choice([0.0, 1e-10, 5e-10, 1e-9], size=100)
-        stack[300:350, :2] *= 1e-10
-        stack[350:400] = np.round(stack[350:400] * 2)
-        stack = stack[np.linalg.norm(stack, axis=1) > 1e-12]
-        rows = np.array([sc.canonical_phase(row) for row in stack])
-        np.testing.assert_array_equal(sc.canonical_phase(stack).view(np.uint64), rows.view(np.uint64))
-        scalar = np.array([scalar_canonical_phase(row) for row in stack])
-        np.testing.assert_array_equal(rows.view(np.uint64), scalar.view(np.uint64))
-        for row in rows[::17]:
-            assert row[np.argmax(np.abs(row) > sc.PHASE_TOL)].imag == 0.0
-
-    def test_stack_rejects_a_zero_row(self):
-        with pytest.raises(ValueError, match=r"^rays\[1\] is a zero vector$"):
-            sc.canonical_phase([[1, 0, 0], [0, 0, 0]])
 
 
 def _bits(a):

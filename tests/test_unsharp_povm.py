@@ -133,7 +133,7 @@ class TestEffects:
                 points = mis._repole(points, n)
                 dw = weights * model.density(points @ n)
                 oracle = [np.tensordot(dw, v[:, :, None] * v[:, None, :].conj(), axes=1)
-                          for v in sc.eigenvector_rows(points)]
+                          for v in sc.sharp_eigenvectors(points)]
                 for j, i in enumerate((1, 0, -1)):
                     assert max_abs(triple.effect(i) - oracle[j]) < 1e-10
                     assert max_abs(triple.effect(i) - closed.effect(i)) < 1e-10
@@ -373,7 +373,7 @@ def eigenvector_born(v, n, u, phi):
     eigenvectors of each sampled direction m, re-poled about ``n``."""
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     points = mis._repole(np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1), n)
-    plus, zero, _ = sc.eigenvector_rows(points)
+    plus, zero, _ = sc.sharp_eigenvectors(points)
     return np.abs(plus.conj() @ v) ** 2, np.abs(zero.conj() @ v) ** 2
 
 

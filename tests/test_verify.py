@@ -133,6 +133,7 @@ def _reflected(sharp_projectors):
 # id -> (check, function in verify's namespace, broken variant of it)
 MUTANTS = {
     "projector-triples/P+ and P- swapped": ("projector-triples", "sharp_projectors", _projectors_swapped),
+    "projector-triples/+1 and 0 eigenvectors swapped": ("projector-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "projector-covariance/reflected direction": ("projector-covariance", "sharp_projectors", _reflected),
     "projector-covariance/forward convention": ("projector-covariance", "wigner_d1", _forward_convention),
     "effect-triples/F+ scaled by 1 + 1e-6": ("effect-triples", "sphere_effects", _plus_scaled),
