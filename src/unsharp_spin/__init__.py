@@ -2,12 +2,13 @@
 
 Misaligned spin measurements realize POVMs rather than projective
 measurements: each intended direction yields three commuting effects that
-share the eigenbasis of the sharp observable and carry four
-model-dependent eigenvalues.  When the misalignment is small enough, the
-eigenvalue thresholds color every eigenray "almost true" or "almost
-false", and for Kochen-Specker direction sets no noncontextual coloring
-exists.  This package builds the effects, verifies their algebra, and
-proves the non-colorability exhaustively.
+share the eigenbasis of the sharp observable and carry four eigenvalues,
+which follow from two moments of the misalignment angle.  When the
+misalignment is small enough, the eigenvalue thresholds color every
+eigenray "almost true" or "almost false", and for Kochen-Specker
+direction sets no noncontextual coloring exists.  This package builds
+the effects, verifies their algebra, and proves the non-colorability
+exhaustively.
 """
 
 from .crosscheck import check_coloring

@@ -199,8 +199,7 @@ def cmd_prob(args, out) -> int:
     psi = _parse_state(args.state)
     n = _direction(args)
     model = _model(args)
-    triple = effects(n, model)
-    p = outcome_probabilities(psi, triple)
+    p = outcome_probabilities(psi, n, model)
     for outcome, value in zip((1, 0, -1), p):
         out.write(f"P(outcome {_OUTCOME_LABEL[outcome]}) = {_fixed(value)}\n")
     out.write(f"sum = {sum(p):.12g}\n")
@@ -223,7 +222,7 @@ def cmd_simulate(args, out) -> int:
     model = _model(args)
     with _flag("--trials"):
         counts = simulate_outcomes(psi, n, model, args.trials, args.seed)
-    probs = outcome_probabilities(psi, effects(n, model))
+    probs = outcome_probabilities(psi, n, model)
     out.write(f"trials = {args.trials}, seed = {args.seed}\n")
     for outcome, c, p in zip((1, 0, -1), counts, probs):
         freq = c / args.trials

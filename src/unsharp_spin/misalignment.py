@@ -7,7 +7,7 @@ alone.  That makes it rotation covariant by construction,
 w_n(R m) = w_{R^-1 n}(m), which the downstream effect algebra relies on;
 densities without that symmetry are deliberately not representable.
 
-Axial integrals (normalization and the effect eigenvalues a1..a4) use one
+Axial integrals (normalization and the eigenvalues a2, a3) use one
 1-D rule per model, ``_AxialModel.polar_rule``: Gauss-Legendre in theta
 over the support, split into panels at the model's breakpoints (a
 tabulated profile's thetas, where its interpolant has kinks).  The nodes

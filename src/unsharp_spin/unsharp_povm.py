@@ -5,12 +5,14 @@ defines three effects F(i), i in {1, 0, -1}: each is the average of the
 sharp eigenprojectors P_{m,i} over the actually-measured direction m,
 weighted by the misalignment density.  For an axially symmetric density
 the effects form a commuting POVM that shares the eigenbasis of the sharp
-observable along n; its eigenvalues are four model-dependent numbers
-a1..a4.  This module evaluates a1..a4 (in closed form for the uniform
-cap, by the model's 1-D axial rule otherwise), builds the effects from
-them and the sharp eigenprojectors of n, which are polynomials in n.S
-(no eigenvector and no phase convention enters), locates the
-unsharpness threshold, and implements outcome probabilities, outcome
+observable along n; its eigenvalues a1..a4 follow from two numbers of the
+model, a2 = <sin^2 theta>/2 and a3 = <sin^4(theta/2)>.  This module
+evaluates those two (in closed form for the uniform cap, by the model's
+1-D axial rule otherwise), builds the effects from a1..a4 and the sharp
+eigenprojectors of n, which are polynomials in n.S (no eigenvector and
+no phase convention enters), locates the unsharpness threshold, and
+implements outcome probabilities (the spectra weighted by the sharp Born
+probabilities along n, so no effect matrix is built), outcome
 simulation, and the one AT/AF/U threshold color rule of the eigenrays,
 which ``ks_pipeline`` lifts direction colors with.  The spherical average itself
 is integrated only in ``verify.sphere_effects``, the oracle that
@@ -19,7 +21,7 @@ establishes this construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,27 +42,28 @@ def check_delta(delta: float) -> float:
 
 @dataclass(frozen=True)
 class Alphas:
-    """The four possible eigenvalues of the unsharp effects.
+    """The four possible eigenvalues of the unsharp effects, from two.
 
     For an axially symmetric misalignment density, the outcome +1 and -1
     effects have spectrum {a1, a2, a3} and the outcome 0 effect has
-    spectrum {a2, a4, a2}; each spectrum sums to 1.
+    spectrum {a2, a4, a2}.  ``Alphas(a2, a3)`` takes the two small ones,
+    a2 = <sin^2 theta>/2 and a3 = <sin^4(theta/2)>, which carry no
+    cancellation; a1 = 1 - a2 - a3 and a4 = 1 - 2 a2 follow, so each
+    spectrum sums to 1 by construction.  The fields keep the order
+    a1..a4.
     """
 
-    a1: float
+    a1: float = field(init=False)
     a2: float
     a3: float
-    a4: float
+    a4: float = field(init=False)
 
     def __post_init__(self):
-        vals = (self.a1, self.a2, self.a3, self.a4)
-        for name, v in zip(("a1", "a2", "a3", "a4"), vals):
+        object.__setattr__(self, "a1", 1.0 - self.a2 - self.a3)
+        object.__setattr__(self, "a4", 1.0 - 2.0 * self.a2)
+        for name, v in zip(("a1", "a2", "a3", "a4"), self.as_tuple()):
             if not -1e-10 <= v <= 1.0 + 1e-10:
                 raise ValueError(f"{name} = {v} is outside [0, 1]")
-        if abs(self.a1 + self.a2 + self.a3 - 1.0) > 1e-10:
-            raise ValueError("a1 + a2 + a3 must equal 1")
-        if abs(2.0 * self.a2 + self.a4 - 1.0) > 1e-10:
-            raise ValueError("2*a2 + a4 must equal 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return self.a1, self.a2, self.a3, self.a4
@@ -77,35 +80,22 @@ class Alphas:
 def alphas_axial(model) -> Alphas:
     """Effect eigenvalues of an axially symmetric model by 1-D quadrature.
 
-    Integrates the density against the four polar weight functions
-    cos^4(theta/2), sin^2(theta)/2, sin^4(theta/2) and cos^2(theta) over
-    the support of the density, on the model's ``polar_rule``.
+    Integrates the density against the two polar weight functions
+    sin^2(theta)/2 and sin^4(theta/2), which give a2 and a3, over the
+    support of the density, on the model's ``polar_rule``.
     """
     u, w = model.polar_rule()
     base = 2.0 * np.pi * w * model.density(u)
-    a1 = float(base @ ((1.0 + u) / 2.0) ** 2)
-    a2 = float(base @ ((1.0 - u * u) / 2.0))
-    a3 = float(base @ ((1.0 - u) / 2.0) ** 2)
-    a4 = float(base @ (u * u))
-    return Alphas(a1, a2, a3, a4)
+    return Alphas(float(base @ ((1.0 - u * u) / 2.0)), float(base @ ((1.0 - u) / 2.0) ** 2))
 
 
 def alphas_uniform_cap(epsilon: float) -> Alphas:
     """Closed-form effect eigenvalues for the uniform cap of half-angle
-    ``epsilon``.
-
-    a1 = (15 + 8 cos e + cos 2e)/24, a2 = (2 + cos e) sin^2(e/2)/3,
-    a3 = sin^4(e/2)/3, a4 = (3 + 2 cos e + cos 2e)/6, evaluated as 1 - 2 a2
-    so that 1 - a4 does not cancel for small e.
+    ``epsilon``: a2 = (2 + cos e) sin^2(e/2)/3 and a3 = sin^4(e/2)/3.
     """
     epsilon = check_epsilon(epsilon)
-    c = np.cos(epsilon)
     s_half = np.sin(epsilon / 2.0)
-    a1 = (15.0 + 8.0 * c + np.cos(2.0 * epsilon)) / 24.0
-    a2 = (2.0 + c) * s_half**2 / 3.0
-    a3 = s_half**4 / 3.0
-    a4 = 1.0 - 2.0 * a2
-    return Alphas(float(a1), float(a2), float(a3), float(a4))
+    return Alphas(float((2.0 + np.cos(epsilon)) * s_half**2 / 3.0), float(s_half**4 / 3.0))
 
 
 def alphas_for_model(model) -> Alphas:
@@ -135,8 +125,9 @@ def effects_from_alphas(n, alphas: Alphas) -> EffectTriple:
     builds as polynomials in S_n = n.S, so no eigenvector is built.  The
     effects are diagonal in the sharp eigenbasis and carry the spectrum
     on the (+1, 0, -1) eigenrays.  They sum to the identity and lie
-    between 0 and 1 by construction: the sharp projectors sum to I, and
-    ``Alphas`` checks that each spectrum lies in [0, 1] and sums to 1.
+    between 0 and 1 by construction: the sharp projectors sum to I, each
+    spectrum of ``Alphas`` sums to 1, and ``Alphas`` checks that it lies
+    in [0, 1].
     """
     n = as_unit_vector(n, "n")
     p_plus, p_zero, p_minus = sharp_projectors(n).as_tuple()
@@ -194,18 +185,21 @@ def _pure_state(psi) -> np.ndarray:
     return v
 
 
-def outcome_probabilities(psi, triple: EffectTriple) -> tuple[float, float, float]:
-    """Outcome probabilities (p_plus, p_zero, p_minus) for a pure state.
+def outcome_probabilities(psi, n, model) -> tuple[float, float, float]:
+    """Outcome probabilities (p_plus, p_zero, p_minus) of a pure state
+    measured along ``n`` under ``model``.
 
-    p_i = <psi| F(i) |psi>; the three sum to 1 by the resolution of the
-    identity.
+    p_i = <psi| F(i) |psi> = a <P_+> + b <P_0> + c <P_-> for (a, b, c) =
+    ``alphas.spectrum(i)``, where the sharp Born probabilities <P_i> of
+    the state along n come from ``_sharp_born`` at the pole (u = 1), so
+    no effect matrix is built.  The three sum to 1 by the resolution of
+    the identity.
     """
-    v = _pure_state(psi)
-    probs = []
-    for outcome in (1, 0, -1):
-        p = float(np.real(v.conj() @ triple.effect(outcome) @ v))
-        probs.append(min(max(p, 0.0), 1.0))
-    return probs[0], probs[1], probs[2]
+    (p1,), (p0,) = _sharp_born(_pure_state(psi), as_unit_vector(n, "n"), np.ones(1), np.zeros(1))
+    sharp = (float(p1), float(p0), float(1.0 - p1 - p0))
+    alphas = alphas_for_model(model)
+    probs = [sum(a * p for a, p in zip(alphas.spectrum(i), sharp)) for i in (1, 0, -1)]
+    return tuple(min(max(p, 0.0), 1.0) for p in probs)
 
 
 def _sharp_born(v, n, u, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ pipeline against the eigenray instance), and solver/oracle agreement.
 The effect checks run on ``sphere_effects``, the spherical average of the
 sharp projectors integrated on a product grid; it is the oracle that
 establishes ``unsharp_povm.effects``, which builds the same triple from
-a1..a4, and nothing outside this module and the tests calls it.
+a2 and a3, and nothing outside this module and the tests calls it.  The
+simulator is checked against <psi|F(i)|psi> of those effect matrices.
 The KS checks read the bundled direction sets (``peres33_directions.json``
 and ``integer49_directions.json``) and search their orthogonality graphs.
 Used by ``unsharp-spin verify``; any failure makes it exit nonzero.
@@ -38,7 +39,6 @@ from .unsharp_povm import (
     alphas_axial,
     alphas_uniform_cap,
     effects,
-    outcome_probabilities,
     simulate_outcomes,
 )
 
@@ -316,15 +316,17 @@ def check_alpha_orderings():
 
 
 def check_simulator_consistency():
-    """Simulated frequencies match analytic probabilities within 4 sigma,
-    for a complex state off the z-axis with p_+ != p_-, so the sign of the
-    m.s term, the local frame and the outcome labels all show."""
+    """Simulated frequencies match <psi|F(i)|psi> of the effect matrices
+    within 4 sigma, for a complex state off the z-axis with p_+ != p_-,
+    so the sign of the m.s term, the local frame and the outcome labels
+    all show.  The reference is not ``outcome_probabilities``, which
+    shares the simulator's Born rule (``_sharp_born``)."""
     n = unit_from_polar(0.7, 1.3)
     model = UniformCap(0.4)
     psi = np.array([0.6, 0.8j, 0.0])
     trials = 200_000
     counts = simulate_outcomes(psi, n, model, trials, seed=SEED + 9)
-    probs = outcome_probabilities(psi, effects(n, model))
+    probs = [float(np.real(psi.conj() @ f @ psi)) for f in effects(n, model).as_tuple()]
     worst = 0.0
     for c, p in zip(counts, probs):
         sigma = max(np.sqrt(p * (1.0 - p) / trials), 1e-12)

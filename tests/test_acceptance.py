@@ -150,7 +150,7 @@ def test_criterion_10_probability_simulation_consistency():
         psi = np.array([0, 1, 0], dtype=complex)
         model = mis.UniformCap(0.4)
         alphas = up.alphas_uniform_cap(0.4)
-        probs = up.outcome_probabilities(psi, up.effects(Z, model))
+        probs = up.outcome_probabilities(psi, Z, model)
         np.testing.assert_allclose(
             probs, (alphas.a2, alphas.a4, alphas.a2), atol=1e-10
         )

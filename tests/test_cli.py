@@ -337,7 +337,8 @@ class TestImports:
         for module in bindings | {unsharp_spin, unsharp_spin.spin_core, unsharp_spin.ks_solver}:
             monkeypatch.setattr(module, "sharp_eigenvectors", forbidden)
         n, model, psi = unsharp_spin.unit_from_polar(0.7, 1.3), unsharp_spin.UniformCap(0.4), np.array([0.6, 0.8j, 0.0])
-        unsharp_spin.outcome_probabilities(psi, unsharp_spin.effects(n, model))
+        unsharp_spin.effects(n, model)
+        unsharp_spin.outcome_probabilities(psi, n, model)
         unsharp_spin.simulate_outcomes(psi, n, model, 1000, seed=3)
         _, peres = formats.load_direction_file(PERES)
         assert unsharp_spin.ks_pipeline(peres, model, 0.1).conclusion == "KS_CONTRADICTION"
@@ -348,6 +349,13 @@ class TestImports:
             ["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.1"],
         ):
             assert run_cli(argv, capsys)[0] == 0, argv
+
+    @pytest.mark.parametrize("command", [["prob"], ["simulate", "--trials", "1000"]])
+    def test_probabilities_build_no_effect_matrix(self, monkeypatch, capsys, command):
+        # both weight the spectra by the sharp Born rule, so neither builds
+        # a sharp projector, the effects' one ingredient
+        monkeypatch.setattr(unsharp_spin.unsharp_povm, "sharp_projectors", None)
+        assert run_cli([*command, *STATE_EPS, "--direction", "0.7,1.3"], capsys)[0] == 0
 
 
 class TestVerify:

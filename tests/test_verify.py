@@ -14,9 +14,10 @@ Two kinds of test ride along under the same test function:
   (``solver-vs-brute-force`` covers the count_all mode).
 
 A second test breaks the library function a sampled check guards, in
-``verify``'s namespace, and asserts that the check then fails; the last
-ones break the color rule ``ks_pipeline`` lifts with, the solver's count
-or the brute-force enumerator, in their own modules' namespaces.
+``verify``'s namespace (the simulator's Born rule in ``unsharp_povm``'s),
+and asserts that the check then fails; the last ones break the color
+rule ``ks_pipeline`` lifts with, the solver's count or the brute-force
+enumerator, in their own modules' namespaces.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ import functools
 import numpy as np
 import pytest
 
-from unsharp_spin import crosscheck, formats, ks_solver, verify
+from unsharp_spin import crosscheck, formats, ks_solver, unsharp_povm, verify
 from unsharp_spin.spin_core import EffectTriple
 
 EFFECT_CLAIMS = {
@@ -126,11 +127,29 @@ def _plus_minus_counts_swapped(simulate_outcomes):
     return mutant
 
 
+def _a2_a3_swapped(alphas_uniform_cap):
+    def mutant(epsilon):
+        a = alphas_uniform_cap(epsilon)
+        return unsharp_povm.Alphas(a.a3, a.a2)
+
+    return mutant
+
+
+def _m_s_sign_flipped(sharp_born):
+    # (m^T Q m - m.s)/2 for P_+1: the simulator shares this Born rule with
+    # outcome_probabilities, not with the check's effect matrices
+    def mutant(*args):
+        p_plus, p_zero = sharp_born(*args)
+        return 1.0 - p_plus - p_zero, p_zero
+
+    return mutant
+
+
 def _reflected(sharp_projectors):
     return lambda n: sharp_projectors(n * np.array([-1.0, 1.0, 1.0]))
 
 
-# id -> (check, function in verify's namespace, broken variant of it)
+# id -> (check, function in verify's namespace or, as unsharp_povm.<name>, in that module's, broken variant of it)
 MUTANTS = {
     "projector-triples/P+ and P- swapped": ("projector-triples", "sharp_projectors", _projectors_swapped),
     "projector-triples/+1 and 0 eigenvectors swapped": ("projector-triples", "sharp_eigenvectors", _eigenvectors_swapped),
@@ -141,9 +160,13 @@ MUTANTS = {
     "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
     "effect-triples/moments carried by the inverse rotation": ("effect-triples", "_repole", _inverse_rotation),
     "effect-triples/caps paired with the wrong draws": ("effect-triples", "sphere_effects", _caps_reversed),
+    "effect-triples/a2 and a3 swapped": ("effect-triples", "alphas_uniform_cap", _a2_a3_swapped),
     "rotation-composition/forward convention": ("rotation-composition", "wigner_d1", _forward_convention),
     "simulator-consistency/+1 and -1 counts swapped": (
         "simulator-consistency", "simulate_outcomes", _plus_minus_counts_swapped
+    ),
+    "simulator-consistency/m.s sign flipped in the Born rule": (
+        "simulator-consistency", "unsharp_povm._sharp_born", _m_s_sign_flipped
     ),
     "real-embedding/+1 and 0 eigenvectors swapped": ("real-embedding", "sharp_eigenvectors", _eigenvectors_swapped),
 }
@@ -153,7 +176,9 @@ MUTANTS = {
 def test_check_fails_on_broken_library(monkeypatch, check_name, target, mutate):
     # each sampled check still catches a broken version of the library
     # function it guards
-    monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
+    module, _, name = target.rpartition(".")
+    owner = {"": verify, "unsharp_povm": unsharp_povm}[module]
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     ok, detail = dict(verify.ALL_CHECKS)[check_name]()
     assert not ok, detail
 
