@@ -250,10 +250,10 @@ def cmd_ks_check(args, out) -> int:
         name, directions = formats.load_direction_file(args.directions)
     model = _model(args)
     with _flag("--delta"):
-        check_delta(args.delta)
-    report = ks_pipeline(directions, model, args.delta, name=name)
+        delta = check_delta(args.delta)
+    report = ks_pipeline(directions, model, delta, name=name)
     out.write(f"direction set: {name} ({len(directions)} directions)\n")
-    out.write(f"model: {report.model_description}, delta = {args.delta}\n")
+    out.write(f"model: {report.model_description}, delta = {delta}\n")
     a1, a2, a3, a4 = report.alphas.as_tuple()
     out.write(f"alphas: a1={a1:.6f} a2={a2:.6f} a3={a3:.6f} a4={a4:.6f}\n")
     out.write(f"condition2: {'ok' if report.condition2_ok else 'FAILED'}\n")

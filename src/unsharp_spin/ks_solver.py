@@ -22,7 +22,7 @@ import numpy as np
 
 from .crosscheck import check_coloring
 from .spin_core import as_unit_directions, sharp_eigenvectors, unit_rows
-from .unsharp_povm import AF, AT, Alphas, alphas_for_model, color_assignment, condition2_check
+from .unsharp_povm import AF, AT, Alphas, alphas_for_model, check_delta, color_assignment, condition2_check
 
 DEDUPE_OVERLAP = 1.0 - 1e-9   # |<u,v>| at or above this means "same ray"
 ORTHO_TOL = 1e-9              # |<u,v>| at or below this means "orthogonal"
@@ -482,6 +482,7 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
     """
     units = as_unit_directions(directions)
     alphas = alphas_for_model(model)
+    delta = check_delta(delta)
     ok, margins = condition2_check(alphas, delta)
     counts, result, conclusion = (0, 0, 0), None, CONDITION2_FAILED
     if ok:
@@ -500,7 +501,7 @@ def ks_pipeline(directions, model, delta: float, name: str = "ks-check") -> KsRe
         conclusion = COLORABLE if result.is_sat else KS_CONTRADICTION
     return KsReport(
         name=name,
-        delta=float(delta),
+        delta=delta,
         model_description=model.describe(),
         alphas=alphas,
         condition2_ok=ok,

@@ -34,10 +34,10 @@ U = "U"
 
 
 def check_delta(delta: float) -> float:
-    """Validate an unsharpness tolerance, 0 <= delta < 0.5."""
+    """Validate an unsharpness tolerance, 0 <= delta < 0.5; -0.0 becomes 0.0."""
     if not 0.0 <= delta < 0.5:
         raise ValueError(f"delta must satisfy 0 <= delta < 0.5, got {delta}")
-    return float(delta)
+    return float(delta) + 0.0
 
 
 @dataclass(frozen=True)
@@ -190,31 +190,37 @@ def outcome_probabilities(psi, n, model) -> tuple[float, float, float]:
     measured along ``n`` under ``model``.
 
     p_i = <psi| F(i) |psi> = a <P_+> + b <P_0> + c <P_-> for (a, b, c) =
-    ``alphas.spectrum(i)``, where the sharp Born probabilities <P_i> of
-    the state along n come from ``_sharp_born`` at the pole (u = 1), so
-    no effect matrix is built.  The three sum to 1 by the resolution of
-    the identity.
+    ``alphas.spectrum(i)``, where the sharp Born probabilities along n come
+    from the state's spin moments in the lab frame (``_spin_moments``), so
+    neither an effect matrix nor a local frame is built.  The three sum to
+    1 by the resolution of the identity.
     """
-    (p1,), (p0,) = _sharp_born(_pure_state(psi), as_unit_vector(n, "n"), np.ones(1), np.zeros(1))
-    sharp = (float(p1), float(p0), float(1.0 - p1 - p0))
+    s, q = _spin_moments(_pure_state(psi))
+    n = as_unit_vector(n, "n")
+    nqn = float(n @ q @ n)
+    p1, p0 = (nqn + float(n @ s)) / 2.0, 1.0 - nqn
     alphas = alphas_for_model(model)
-    probs = [sum(a * p for a, p in zip(alphas.spectrum(i), sharp)) for i in (1, 0, -1)]
+    probs = [sum(a * p for a, p in zip(alphas.spectrum(i), (p1, p0, 1.0 - p1 - p0))) for i in (1, 0, -1)]
     return tuple(min(max(p, 0.0), 1.0) for p in probs)
+
+
+def _spin_moments(v) -> tuple[np.ndarray, np.ndarray]:
+    """Spin moments s_a = <v|S_a|v> and Q_ab = Re <v|S_a S_b|v> of state
+    ``v``.  The spin-1 projectors P_{m,+1} = ((m.S)^2 + m.S)/2 and P_{m,0} =
+    I - (m.S)^2 give P_+1 = (m^T Q m + m.s)/2 and P_0 = 1 - m^T Q m."""
+    sv = np.stack(spin_matrices()) @ v  # row a: S_a v
+    return (sv @ v.conj()).real, (sv.conj() @ sv.T).real
 
 
 def _sharp_born(v, n, u, phi) -> tuple[np.ndarray, np.ndarray]:
     """Sharp Born probabilities (P_+1, P_0) of state ``v`` along each
-    direction at local polar coordinates (u = cos theta, phi) about ``n``.
-
-    With s_a = <v|S_a|v> and Q_ab = Re <v|S_a S_b|v>, the spin-1
-    projectors P_{m,+1} = ((m.S)^2 + m.S)/2 and P_{m,0} = I - (m.S)^2 give
-    P_+1 = (m^T Q m + m.s)/2 and P_0 = 1 - m^T Q m.  s and Q are rotated
-    into the local frame once, so m stays in local coordinates.
+    direction at local polar coordinates (u = cos theta, phi) about ``n``,
+    from the spin moments (``_spin_moments``) rotated into the local frame
+    once, so m stays in local coordinates.
     """
-    sv = np.stack(spin_matrices()) @ v  # row a: S_a v
+    s, q = _spin_moments(v)
     frame = _repole(np.eye(3), n)  # rows: the local x, y and z = n axes
-    s = frame @ (sv @ v.conj()).real
-    q = frame @ (sv.conj() @ sv.T).real @ frame.T
+    s, q = frame @ s, frame @ q @ frame.T
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     m = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
     mqm = np.einsum("ki,ki->k", m @ q, m)

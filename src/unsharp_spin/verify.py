@@ -320,7 +320,7 @@ def check_simulator_consistency():
     within 4 sigma, for a complex state off the z-axis with p_+ != p_-,
     so the sign of the m.s term, the local frame and the outcome labels
     all show.  The reference is not ``outcome_probabilities``, which
-    shares the simulator's Born rule (``_sharp_born``)."""
+    shares the simulator's spin moments (``_spin_moments``)."""
     n = unit_from_polar(0.7, 1.3)
     model = UniformCap(0.4)
     psi = np.array([0.6, 0.8j, 0.0])

@@ -17,6 +17,7 @@ from unsharp_spin import cli, formats, verify
 # SHA-256 of `ks-check --output` on the Peres directions at epsilon 0.4, delta 0.1
 PERES_REPORT_SHA256 = "f0bbe628027cab015b7a121d4e2c2f34e947b9acf4484d5698abcda2fa99fde4"
 PERES = str(formats.fixture_path("peres33_directions.json"))
+PERES_ARGV = ["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.1"]
 STATE_EPS = ["--state", "0,1,0", "--epsilon", "0.4"]
 
 
@@ -27,12 +28,6 @@ def run_cli(argv, capsys):
 
 
 class TestThreshold:
-    def test_reference_output(self, capsys):
-        code, out, _ = run_cli(["threshold", "--delta", "0.1"], capsys)
-        assert code == 0
-        assert "0.459 rad" in out
-        assert "26.3 deg" in out
-
     def test_report_output(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         code, _, _ = run_cli(["threshold", "--delta", "0.1", "--output", str(path)], capsys)
@@ -180,40 +175,54 @@ class TestProbAndSimulate:
              "--delta: delta must be positive: only the sharp limit satisfies delta = 0"),
             (["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.7"],
              "--delta: delta must satisfy 0 <= delta < 0.5, got 0.7"),
+            (["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"],
+             "--state expects three comma-separated amplitudes, got '1,0'"),
         ],
         ids=["prob-inf-theta", "prob-nan-phi", "simulate-inf-theta", "simulate-negative-seed",
              "simulate-zero-trials", "effects-epsilon-4", "alphas-epsilon-200-degrees", "threshold-delta-0.7",
-             "threshold-delta-0", "ks-check-delta-0.7"],
+             "threshold-delta-0", "ks-check-delta-0.7", "prob-malformed-state"],
     )
     def test_input_error_names_its_flag(self, capsys, argv, err):
         code, out, got = run_cli(argv, capsys)
         assert (code, out, got) == (2, "", f"error: {err}\n")
 
-    def test_rejects_malformed_state(self, capsys):
-        code, _, err = run_cli(["prob", "--state", "1,0", "--direction", "0,0", "--epsilon", "0.4"], capsys)
-        assert code == 2
-        assert err.startswith("error: --state")
+    # a file's error names its flag; an error ending in a newline is the
+    # whole message, any other its start
+    @pytest.mark.parametrize(
+        "flag, doc, err",
+        [
+            ("--directions", None, "error: --directions"),
+            ("--directions", '{"name": "z", "directions": [[0, 0, 1], [0, 0, 0]]}',
+             "error: --directions: direction file: directions[1] is a zero vector\n"),
+            ("--directions", '{"name": "n", "directions": [[0, 0, 1], [1, 0, null]]}',
+             "error: --directions: direction file: directions[1] must be [x, y, z] with finite"),
+            ("--profile", '{"name": "neg", "epsilon": 0.5, "profile": [[0, 1.0], [0.5, -1.0]]}',
+             "error: --profile: profile file: 'profile' weights must be nonnegative\n"),
+            ("--profile", '{"name": "p", "epsilon": 0.4, "profile": [[0, 1], [0.2, null], [0.4, 1]]}',
+             "error: --profile: profile file: profile[1] must be [theta, weight] with finite"),
+            ("--profile", '{"name": "p", "epsilon": 0.4, "profile": [[0, 1], [NaN, 1], [0.4, 1]]}',
+             "error: --profile: profile file: profile[1] must be [theta, weight] with finite"),
+            ("--profile", '{"name": "p", "epsilon": true, "profile": [[0, 1], [1, 1]]}',
+             "error: --profile: profile file['epsilon'] must be [epsilon] with finite"),
+            ("--profile", '{"name": "p", "epsilon": "0.4", "profile": [[0, 1], [1, 1]]}',
+             "error: --profile: profile file['epsilon'] must be [epsilon] with finite"),
+            ("--profile", '{"name": "p", "epsilon": null, "profile": [[0, 1], [1, 1]]}',
+             "error: --profile: profile file['epsilon'] must be [epsilon] with finite"),
+        ],
+        ids=["missing-directions", "zero-direction", "null-component", "negative-weight", "null-weight",
+             "nan-theta", "boolean-epsilon", "string-epsilon", "null-epsilon"],
+    )
+    def test_file_error_names_its_flag(self, capsys, tmp_path, flag, doc, err):
+        path = tmp_path / "in.json"
+        if doc is not None:
+            path.write_text(doc)
+        command = {"--directions": ["ks-check", "--epsilon", "0.4", "--delta", "0.1"], "--profile": ["alphas"]}[flag]
+        code, out, got = run_cli([*command, flag, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert got == err if err.endswith("\n") else got.startswith(err)
 
 
 class TestKsCheck:
-    def test_peres_contradiction(self, capsys, tmp_path):
-        path = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            [
-                "ks-check",
-                "--directions", PERES,
-                "--epsilon", "0.4",
-                "--delta", "0.1",
-                "--output", str(path),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "KS_CONTRADICTION" in out
-        doc = json.loads(path.read_text())
-        assert doc["conclusion"] == "KS_CONTRADICTION"
-        assert doc["solve"]["verdict"] == "UNSAT"
-
     def test_peres_report_bytes_are_pinned(self, capsys, tmp_path):
         # any rewrite of the geometry or the search must reproduce this report
         path = tmp_path / "report.json"
@@ -231,33 +240,17 @@ class TestKsCheck:
         assert "solver: UNSAT (16 nodes, depth 3)\n" in out
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PERES_REPORT_SHA256
 
-    def test_condition_failure(self, capsys):
-        code, out, _ = run_cli(
-            [
-                "ks-check",
-                "--directions", PERES,
-                "--epsilon", "0.6",
-                "--delta", "0.1",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "CONDITION2_FAILED" in out
-
-    def test_byte_identical_reports(self, capsys, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            run_cli(
-                [
-                    "ks-check",
-                    "--directions", PERES,
-                    "--epsilon", "0.4",
-                    "--delta", "0.1",
-                    "--output", str(path),
-                ],
-                capsys,
-            )
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    def test_condition_failure(self, capsys, tmp_path):
+        # epsilon 0.6 fails at delta 0.1, and every cap at delta 0; -0.0 is
+        # that same tolerance, in the same stdout and report bytes
+        outputs = []
+        for epsilon, delta in (("0.6", "0.1"), ("0.4", "0"), ("0.4", "-0.0")):
+            argv = ["ks-check", "--directions", PERES, "--epsilon", epsilon, "--delta", delta]
+            code, out, _ = run_cli(argv + ["--output", str(tmp_path / "report.json")], capsys)
+            assert code == 0
+            assert "CONDITION2_FAILED" in out
+            outputs.append((out, (tmp_path / "report.json").read_bytes()))
+        assert outputs[1] == outputs[2]
 
     def test_option_strings(self):
         sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -265,22 +258,6 @@ class TestKsCheck:
         assert options == {
             "-h", "--help", "--directions", "--epsilon", "--delta", "--profile", "--degrees", "--output",
         }
-
-    def test_missing_file_errors(self, capsys):
-        code, _, err = run_cli(
-            ["ks-check", "--directions", "/nonexistent.json", "--epsilon", "0.4", "--delta", "0.1"], capsys
-        )
-        assert code == 2
-        assert err.startswith("error: --directions")
-
-    def test_zero_vector_file_errors(self, capsys, tmp_path):
-        path = tmp_path / "dirs.json"
-        path.write_text(json.dumps({"name": "z", "directions": [[0, 0, 1], [0, 0, 0]]}))
-        code, _, err = run_cli(
-            ["ks-check", "--directions", str(path), "--epsilon", "0.4", "--delta", "0.1"], capsys
-        )
-        assert code == 2
-        assert err == "error: --directions: direction file: directions[1] is a zero vector\n"
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_row_reports_as_its_unit_row(self, capsys, tmp_path):
@@ -295,14 +272,6 @@ class TestKsCheck:
             outputs.append((out, (tmp_path / "report.json").read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_null_component_file_errors(self, capsys, tmp_path):
-        path = tmp_path / "dirs.json"
-        path.write_text(json.dumps({"name": "n", "directions": [[0, 0, 1], [1, 0, None]]}))
-        argv = ["ks-check", "--directions", str(path), "--epsilon", "0.4", "--delta", "0.1"]
-        code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --directions: direction file: directions[1] must be [x, y, z] with finite")
-
 
 class TestImports:
     def test_public_names_are_all(self):
@@ -316,9 +285,8 @@ class TestImports:
         # a fresh interpreter, so no earlier import hides the one under test
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.1"]
         run = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "unsharp_spin.cli", *argv],
+            [sys.executable, "-X", "importtime", "-m", "unsharp_spin.cli", *PERES_ARGV],
             capture_output=True, text=True, env=env, check=True,
         )
         imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if "|" in line]
@@ -346,7 +314,7 @@ class TestImports:
             ["effects", "--direction", "0.7,1.3", "--epsilon", "0.4"],
             ["prob", *STATE_EPS, "--direction", "0.7,1.3"],
             ["simulate", *STATE_EPS, "--direction", "0.7,1.3", "--trials", "1000"],
-            ["ks-check", "--directions", PERES, "--epsilon", "0.4", "--delta", "0.1"],
+            PERES_ARGV,
         ):
             assert run_cli(argv, capsys)[0] == 0, argv
 
@@ -356,6 +324,14 @@ class TestImports:
         # a sharp projector, the effects' one ingredient
         monkeypatch.setattr(unsharp_spin.unsharp_povm, "sharp_projectors", None)
         assert run_cli([*command, *STATE_EPS, "--direction", "0.7,1.3"], capsys)[0] == 0
+
+    def test_probabilities_build_no_local_frame(self, monkeypatch, capsys):
+        # P+ = (n^T Q n + n.s)/2 and P0 = 1 - n^T Q n in the lab frame; only
+        # the simulation re-poles its sampled directions about n
+        monkeypatch.setattr(unsharp_spin.unsharp_povm, "_repole", None)
+        psi = np.array([0.6, 0.8j, 0.0])
+        unsharp_spin.outcome_probabilities(psi, unsharp_spin.unit_from_polar(0.7, 1.3), unsharp_spin.UniformCap(0.4))
+        assert run_cli(["prob", *STATE_EPS, "--direction", "0.7,1.3"], capsys)[0] == 0
 
 
 class TestVerify:
@@ -384,29 +360,6 @@ class TestVerify:
 
 
 class TestMisc:
-    def test_bad_profile_file(self, capsys, tmp_path):
-        profile = tmp_path / "prof.json"
-        profile.write_text(json.dumps({"name": "neg", "epsilon": 0.5, "profile": [[0, 1.0], [0.5, -1.0]]}))
-        code, _, err = run_cli(["alphas", "--profile", str(profile)], capsys)
-        assert code == 2
-        assert err == "error: --profile: profile file: 'profile' weights must be nonnegative\n"
-
-    @pytest.mark.parametrize("row", ["[0.2, null]", "[NaN, 1]"], ids=["null-weight", "nan-theta"])
-    def test_malformed_profile_row(self, capsys, tmp_path, row):
-        profile = tmp_path / "prof.json"
-        profile.write_text(f'{{"name": "p", "epsilon": 0.4, "profile": [[0, 1], {row}, [0.4, 1]]}}')
-        code, out, err = run_cli(["alphas", "--profile", str(profile)], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --profile: profile file: profile[1] must be [theta, weight] with finite")
-
-    @pytest.mark.parametrize("epsilon", ["true", '"0.4"', "null"], ids=["boolean", "string", "null"])
-    def test_non_numeric_profile_epsilon(self, capsys, tmp_path, epsilon):
-        profile = tmp_path / "prof.json"
-        profile.write_text(f'{{"name": "p", "epsilon": {epsilon}, "profile": [[0, 1], [1, 1]]}}')
-        code, out, err = run_cli(["alphas", "--profile", str(profile)], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --profile: profile file['epsilon'] must be [epsilon] with finite")
-
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
         code, out, err = run_cli(["alphas", "--epsilon", "0.4", "--output", str(target)], capsys)
