@@ -80,6 +80,15 @@ class TestAlphas:
 
 
 class TestEffects:
+    def test_z_direction_is_diagonal_with_alphas(self):
+        # the sharp eigenrays of z diagonalize F(0), degenerate eigenvalue and all
+        for eps in (0.459, 0.7):
+            triple = up.effects(Z, mis.UniformCap(eps))
+            a = up.alphas_uniform_cap(eps)
+            assert max_abs(triple.f_plus - np.diag([a.a1, a.a2, a.a3])) < 1e-14
+            assert max_abs(triple.f_zero - np.diag([a.a2, a.a4, a.a2])) < 1e-14
+            assert max_abs(triple.f_minus - np.diag([a.a3, a.a2, a.a1])) < 1e-14
+
     def test_sharp_limit(self):
         triple = up.effects(Z, mis.UniformCap(1e-3))
         proj = sc.sharp_projectors(Z)
@@ -159,12 +168,11 @@ class TestEffects:
 
 class TestEffectsFromAlphas:
     def test_z_gives_exact_diagonals(self):
-        # the sharp eigenrays of z diagonalize F(0), degenerate eigenvalue and all
         a = up.alphas_uniform_cap(0.7)
-        for triple in (up.effects_from_alphas(Z, a), up.effects(Z, mis.UniformCap(0.7))):
-            assert max_abs(triple.f_plus - np.diag([a.a1, a.a2, a.a3])) < 1e-14
-            assert max_abs(triple.f_zero - np.diag([a.a2, a.a4, a.a2])) < 1e-14
-            assert max_abs(triple.f_minus - np.diag([a.a3, a.a2, a.a1])) < 1e-14
+        triple = up.effects_from_alphas(Z, a)
+        assert max_abs(triple.f_plus - np.diag([a.a1, a.a2, a.a3])) < 1e-14
+        assert max_abs(triple.f_zero - np.diag([a.a2, a.a4, a.a2])) < 1e-14
+        assert max_abs(triple.f_minus - np.diag([a.a3, a.a2, a.a1])) < 1e-14
 
     def test_agrees_with_quadrature(self, rng):
         for _ in range(10):
