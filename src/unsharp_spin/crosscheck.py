@@ -66,72 +66,73 @@ def brute_force_colorings(instance) -> tuple[int, dict | None]:
     return count, example
 
 
-def _instance_clauses(instance) -> list[list[int]]:
-    """CNF encoding: literal v+1 means ray v is AT, negative means AF."""
-    clauses = []
-    for i, j in instance.ortho_pairs:
-        clauses.append([-(i + 1), -(j + 1)])
-    for a, b, c in instance.tripods:
-        clauses.append([a + 1, b + 1, c + 1])
-    return clauses
+def _instance_clauses(instance) -> list[list[tuple[int, bool]]]:
+    """CNF encoding: literal (v, True) means ray v is AT, (v, False) AF."""
+    pairs = [[(i, False), (j, False)] for i, j in instance.ortho_pairs]
+    return pairs + [[(r, True) for r in tripod] for tripod in instance.tripods]
 
 
 def dpll_solve(instance) -> tuple[bool, dict | None]:
     """Decide colorability with a plain DPLL over the CNF encoding.
 
     Unit propagation plus first-unassigned-variable branching, True first.
-    Returns ``(sat, model)`` with ``model`` a coloring dict on SAT.
-    Independent of the graph-based solver's propagation and heuristics.
+    An assignment visits only the clauses of its variable (occurrence
+    lists), queued on the trail that backtracking unassigns.  Unit
+    propagation reaches the same closure, or a conflict, in any order, so
+    the search tree and model are those of rescanning every clause to a
+    fixpoint.  Returns ``(sat, model)`` with ``model`` a coloring dict on
+    SAT.  Independent of the graph-based solver's propagation and
+    heuristics.
     """
     n = instance.ray_count
-    clauses = _instance_clauses(instance)
+    occurs = [[] for _ in range(n)]
+    for clause in _instance_clauses(instance):
+        for var in {var for var, _ in clause}:
+            occurs[var].append(clause)
+    value: list[bool | None] = [None] * n
+    trail: list[int] = []
 
-    def propagate(local: dict[int, bool]) -> dict[int, bool] | None:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned = None
-                satisfied = False
+    def assign(var: int, val: bool) -> bool:
+        # set var and propagate through the clauses of each variable the
+        # trail gains; False on a clause with every literal false
+        head = len(trail)
+        value[var] = val
+        trail.append(var)
+        while head < len(trail):
+            for clause in occurs[trail[head]]:
                 open_count = 0
                 for lit in clause:
-                    var = abs(lit) - 1
-                    if var in local:
-                        if local[var] == (lit > 0):
-                            satisfied = True
-                            break
-                    else:
+                    current = value[lit[0]]
+                    if current is None:
                         open_count += 1
                         unassigned = lit
-                if satisfied:
-                    continue
-                if open_count == 0:
-                    return None
-                if open_count == 1:
-                    local[abs(unassigned) - 1] = unassigned > 0
-                    changed = True
-        return local
+                    elif current == lit[1]:
+                        break
+                else:
+                    if open_count == 0:
+                        return False
+                    if open_count == 1:
+                        value[unassigned[0]] = unassigned[1]
+                        trail.append(unassigned[0])
+            head += 1
+        return True
 
-    # Depth-first over (parent assignment, variable, value) branches on an
-    # explicit stack, so search depth is not bounded by the recursion
-    # limit; the True branch is pushed last so it is explored first.
-    model = None
-    stack = [({}, None, None)]
+    # Depth-first over (trail length at the parent, variable, value)
+    # branches on an explicit stack, so search depth is not bounded by the
+    # recursion limit; the True branch is pushed last so it is explored
+    # first.  Every variable below a branch variable is assigned at its
+    # parent, so the next branch variable is the first unassigned above it.
+    stack = [(0, -1, None)]
     while stack:
-        parent, var, value = stack.pop()
-        local = dict(parent)
-        if var is not None:
-            local[var] = value
-        local = propagate(local)
-        if local is None:
+        mark, var, val = stack.pop()
+        for undone in trail[mark:]:
+            value[undone] = None
+        del trail[mark:]
+        if var >= 0 and not assign(var, val):
             continue
-        var = next((v for v in range(n) if v not in local), None)
+        var = next((v for v in range(var + 1, n) if value[v] is None), None)
         if var is None:
-            model = local
-            break
-        stack.append((local, var, False))
-        stack.append((local, var, True))
-    if model is None:
-        return False, None
-    coloring = {v: ("AT" if model.get(v, False) else "AF") for v in range(n)}
-    return True, coloring
+            return True, {v: ("AT" if value[v] else "AF") for v in range(n)}
+        stack.append((len(trail), var, False))
+        stack.append((len(trail), var, True))
+    return False, None

@@ -19,12 +19,14 @@ cos(theta) converges only algebraically.
 setting, ``nodes``: the same theta rule restricted to a band times a
 uniform periodic trapezoid in phi, ``nodes`` of each, about the z-axis.
 The library's effects do not use it.  ``verify`` integrates the effects'
-moments by the same rule on the same weighted grid, once per model about
-the pole, as the oracle for their closed form: it sums over phi first,
-one matrix product per theta row, and then over the rows.  It carries
-the moments to each direction n by the rotation ``_repole`` applies
-(z to n), which the covariance above makes exact.  ``verify`` checks that
-covariance on sampled rotations (``density-covariance``).
+moments by the same rule about the pole, as the oracle for their closed
+form, for every model in one pass: the rule's theta and phi factors
+(``_product_factors``, which ``sphere_grid`` builds its grid from) give
+each moment as a theta sum, one row per model, times a phi sum taken
+once.  It carries the moments to each direction n by the rotation
+``_repole`` applies (z to n), which the covariance above makes exact.
+``verify`` checks that covariance on sampled rotations
+(``density-covariance``).
 """
 
 from __future__ import annotations
@@ -77,14 +79,16 @@ def gauss_legendre_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.nda
     return half * x + 0.5 * (a + b), half * w
 
 
-def _polar_rule(u_lo: float, u_hi: float, n: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+def _polar_rule(u_lo, u_hi, n: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Legendre in theta over the band u_lo <= cos(theta) <= u_hi, n
     # nodes on each panel between the breakpoints (increasing angles
     # strictly inside the band), returned as nodes u = cos(theta) with the
     # Jacobian in the weights, so that sum(w f(u)) approximates the
-    # integral of f over u
+    # integral of f over u; (K, 1) arrays of band ends give one rule per
+    # band, as (K, nodes) rows
     edges = [np.arccos(u_hi), *breakpoints, np.arccos(u_lo)]
-    theta, w = map(np.concatenate, zip(*(gauss_legendre_nodes(a, b, n) for a, b in zip(edges, edges[1:]))))
+    panels = zip(*(gauss_legendre_nodes(a, b, n) for a, b in zip(edges, edges[1:])))
+    theta, w = (np.concatenate(parts, axis=-1) for parts in panels)
     return np.cos(theta), w * np.sin(theta)
 
 
@@ -199,6 +203,20 @@ def _repole(local: np.ndarray, axis) -> np.ndarray:
     return local @ rotation_from_euler(phi_a, theta_a, 0.0).swapaxes(-1, -2)  # the rotation maps z to axis
 
 
+def _product_factors(nodes: int, u_range) -> tuple[np.ndarray, ...]:
+    # the factors of sphere_grid's product rule: the theta nodes u =
+    # cos(theta), their sin(theta) and their weights with the phi step
+    # 2 pi / nodes folded in, then cos and sin of the phi nodes.  u_range
+    # given as (K, 1) arrays of band ends gives (K, nodes) theta factors,
+    # row k bit for bit those of band k alone
+    if nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
+    u, wu = _polar_rule(u_range[0], u_range[1], nodes)
+    phi = 2.0 * np.pi * np.arange(nodes) / nodes
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    return u, st, wu * (2.0 * np.pi / nodes), np.cos(phi), np.sin(phi)
+
+
 def sphere_grid(nodes: int = 64, u_range: tuple[float, float] = (-1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes on (part of) the sphere: Gauss-Legendre in theta
     and a periodic trapezoid in phi, ``nodes`` of each.
@@ -210,27 +228,12 @@ def sphere_grid(nodes: int = 64, u_range: tuple[float, float] = (-1.0, 1.0)) -> 
     taken on the 2 * nodes factors alone.  ``_repole`` carries it to
     another pole.
     """
-    if nodes < 1:
-        raise ValueError(f"nodes must be >= 1, got {nodes}")
-    u, wu = _polar_rule(u_range[0], u_range[1], nodes)
-    phi = 2.0 * np.pi * np.arange(nodes) / nodes
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    u, st, w, cos_phi, sin_phi = _product_factors(nodes, u_range)
     local = np.empty((nodes, nodes, 3))
-    local[:, :, 0] = st[:, None] * np.cos(phi)
-    local[:, :, 1] = st[:, None] * np.sin(phi)
+    local[:, :, 0] = st[:, None] * cos_phi
+    local[:, :, 1] = st[:, None] * sin_phi
     local[:, :, 2] = u[:, None]
-    weights = np.repeat(wu * (2.0 * np.pi / nodes), nodes)
-    return local.reshape(-1, 3), weights
-
-
-def _weighted_grid(weight, nodes: int, u_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    # the nodes of sphere_grid(nodes, u_range) and their quadrature weights
-    # times weight(nodes), the (N,) values of which may not be negative
-    points, weights = sphere_grid(nodes, u_range)
-    wv = np.asarray(weight(points), dtype=float)
-    if np.any(wv < 0.0):
-        raise ValueError("weight function returned a negative value")
-    return points, weights * wv
+    return local.reshape(-1, 3), np.repeat(w, nodes)
 
 
 def sphere_integral_matrix(
@@ -248,5 +251,8 @@ def sphere_integral_matrix(
     so results are bit-stable.  ``u_range`` restricts integration to a
     band around the z-axis (e.g. the support of a cap density about it).
     """
-    points, weights = _weighted_grid(weight, nodes, u_range)
-    return np.tensordot(weights, np.asarray(f(points)), axes=1)
+    points, weights = sphere_grid(nodes, u_range)
+    wv = np.asarray(weight(points), dtype=float)
+    if np.any(wv < 0.0):
+        raise ValueError("weight function returned a negative value")
+    return np.tensordot(weights * wv, np.asarray(f(points)), axes=1)

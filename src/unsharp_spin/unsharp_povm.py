@@ -216,15 +216,22 @@ def _sharp_born(v, n, u, phi) -> tuple[np.ndarray, np.ndarray]:
     """Sharp Born probabilities (P_+1, P_0) of state ``v`` along each
     direction at local polar coordinates (u = cos theta, phi) about ``n``,
     from the spin moments (``_spin_moments``) rotated into the local frame
-    once, so m stays in local coordinates.
+    once.  m^T Q m and m.s are summed term by term over the components
+    m = (sin theta cos phi, sin theta sin phi, u), so no (N, 3) stack of
+    directions is built.
     """
     s, q = _spin_moments(v)
     frame = _repole(np.eye(3), n)  # rows: the local x, y and z = n axes
     s, q = frame @ s, frame @ q @ frame.T
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    m = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
-    mqm = np.einsum("ki,ki->k", m @ q, m)
-    return (mqm + m @ s) / 2.0, 1.0 - mqm
+    m = (st * np.cos(phi), st * np.sin(phi), u)
+    mqm = sum(m[a] * sum(q[a, b] * m[b] for b in range(3)) for a in range(3))
+    return (mqm + sum(s[a] * m[a] for a in range(3))) / 2.0, 1.0 - mqm
+
+
+# trials per block in which simulate_outcomes evaluates the Born rule, so
+# its temporaries do not grow with the trial count
+_SIMULATION_BLOCK = 1 << 16
 
 
 def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, int]:
@@ -236,7 +243,8 @@ def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, 
     moments (``_sharp_born``), not from eigenvectors of each m.  Returns
     counts for outcomes (+1, 0, -1); the counts sum to ``trials`` and are
     reproducible for a fixed seed (draw order: cos-theta block, phi
-    block, outcome block).
+    block, outcome block, each of all ``trials``).  The probabilities and
+    counts are then taken over blocks of ``_SIMULATION_BLOCK`` trials.
     """
     v = _pure_state(psi)
     if trials < 1:
@@ -244,12 +252,14 @@ def simulate_outcomes(psi, n, model, trials: int, seed: int) -> tuple[int, int, 
     n = as_unit_vector(n, "n")
 
     rng = np.random.default_rng(seed)
-    p1, p0 = _sharp_born(v, n, *model.sample_polar(rng, trials))
-    cum1 = p1
-    cum2 = p1 + p0
+    u, phi = model.sample_polar(rng, trials)
     r = rng.random(trials)
-    n_plus = int(np.count_nonzero(r < cum1))
-    n_zero = int(np.count_nonzero((r >= cum1) & (r < cum2)))
+    n_plus = n_zero = 0
+    for block in range(0, trials, _SIMULATION_BLOCK):
+        part = slice(block, block + _SIMULATION_BLOCK)
+        p1, p0 = _sharp_born(v, n, u[part], phi[part])
+        n_plus += int(np.count_nonzero(r[part] < p1))
+        n_zero += int(np.count_nonzero((r[part] >= p1) & (r[part] < p1 + p0)))
     return n_plus, n_zero, trials - n_plus - n_zero
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import crosscheck, formats, ks_solver
-from .misalignment import AxialDensity, UniformCap, _repole, _weighted_grid, sphere_integral_matrix
+from .misalignment import AxialDensity, UniformCap, _product_factors, _repole, sphere_integral_matrix
 from .spin_core import (
     EffectTriple,
     random_rotation,
@@ -116,17 +116,28 @@ def check_density_normalization():
     return worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-8)"
 
 
-def _pole_moments(model, nodes: int) -> np.ndarray:
-    # int w m (row 0) and int w m m^T (rows 1-3) on the grid about the pole,
-    # (4, 3): the grid runs phi-fastest, so each theta row takes one
-    # (4, nodes) @ (nodes, 3) product of [1, m] w against m, and the rows
-    # are summed after
-    points, weights = _weighted_grid(lambda m: model.density(m[:, 2]), nodes, model.support_u())
-    m = points.reshape(nodes, nodes, 3)  # (theta, phi, component)
-    x = np.ones((nodes, 4, nodes))
-    x[:, 1:] = m.swapaxes(1, 2)
-    x *= weights.reshape(nodes, 1, nodes)
-    return np.sum(x @ m, axis=0)
+def _pole_moments(models, nodes: int) -> np.ndarray:
+    # int w m (row 0) and int w m m^T (rows 1-3) of each model's density on
+    # sphere_grid(nodes, model.support_u()) about the pole, (K, 4, 3), in
+    # one pass: node (theta_i, phi_j) weighs w_i, its theta weight times the
+    # density, and m = (st_i cos phi_j, st_i sin phi_j, u_i), so each entry
+    # is a theta sum of w times st, st^2, st u, u or u^2 times a phi sum of
+    # 1, cos, sin, cos^2, cos sin or sin^2
+    bands = np.array([model.support_u() for model in models])[:, :, None]  # (K, 2, 1)
+    u, st, w, cos_phi, sin_phi = _product_factors(nodes, (bands[:, 0], bands[:, 1]))
+    density = np.stack([model.density(row) for model, row in zip(models, u)])
+    if np.any(density < 0.0):
+        raise ValueError("density returned a negative value")
+    w = w * density
+    st1, st2, stu, u1, u2 = np.sum(w[:, None] * np.stack([st, st * st, st * u, u, u * u], axis=1), axis=-1).T
+    c, s, cc, cs, ss = (np.sum(f) for f in (cos_phi, sin_phi, cos_phi**2, cos_phi * sin_phi, sin_phi**2))
+    moment = [
+        [st1 * c, st1 * s, u1 * nodes],
+        [st2 * cc, st2 * cs, stu * c],
+        [st2 * cs, st2 * ss, stu * s],
+        [stu * c, stu * s, u2 * nodes],
+    ]
+    return np.moveaxis(np.array(moment), -1, 0)
 
 
 def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
@@ -141,27 +152,29 @@ def sphere_effects(n, model, nodes: int = 64) -> EffectTriple:
     theta by ``nodes`` phi product grid of ``sphere_grid``, and the
     effects follow exactly from int w m.S = sum_a mu_a S_a,
     int w (m.S)^2 = sum_ab M_ab S_a S_b and the mass tr M.  The moments
-    are integrated once per model, about the pole on the density's
-    support, where they are low-degree trigonometric polynomials (the
-    default 64 nodes are therefore exact to rounding for the uniform cap):
-    the same product rule as ``sphere_integral_matrix``, with the phi sum
-    taken first, one matrix product per theta row.  They are carried to n
-    by the rotation R that ``_repole`` applies (z to n): mu_n = R mu_z and
-    M_n = R M_z R^T, the sum taken before the rotation.
+    are integrated about the pole on the density's support, where they are
+    low-degree trigonometric polynomials (the default 64 nodes are
+    therefore exact to rounding for the uniform cap), for every model in
+    one pass: the grid is a theta x phi product and the density depends on
+    theta alone, so each moment is a sum over the theta nodes of every
+    model's rule, stacked, times one of five phi sums taken once.  That is
+    the product rule of ``sphere_integral_matrix``, factored.  The moments
+    are carried to n by the rotation R that ``_repole`` applies (z to n):
+    mu_n = R mu_z and M_n = R M_z R^T, the sum taken before the rotation.
 
     ``n`` is one direction or a stack of them; the triple's fields are then
     stacks, row k bit for bit the call on ``n[k]``.  ``model`` is one model
     for every direction, or a list or tuple of K models for a (K, ..., 3) stack,
-    model k applying to ``n[k]``.  Nothing here assumes the triple is
-    diagonal in the sharp eigenbasis, so the checks that find it so
-    establish the closed form.
+    model k applying to ``n[k]``.  A density negative at a node is a
+    ValueError.  Nothing here assumes the triple is diagonal in the sharp
+    eigenbasis, so the checks that find it so establish the closed form.
     """
     v = np.array(n, dtype=float)
     if isinstance(model, (list, tuple)):  # (K, 1, ..., 4, 3): model k for every direction of n[k]
-        moment = np.stack([_pole_moments(m, nodes) for m in model])
+        moment = _pole_moments(model, nodes)
         moment = moment.reshape(moment.shape[:1] + (1,) * (v.ndim - 2) + (4, 3))
     else:
-        moment = _pole_moments(model, nodes)
+        moment = _pole_moments([model], nodes)[0]
     axes = v if v.ndim < 3 else v.reshape(-1, 3)  # _repole takes one axis or an (N, 3) stack
     rot = _repole(np.eye(3), axes).swapaxes(-1, -2).reshape(v.shape[:-1] + (3, 3))  # R, z to n
     mu = (moment[..., :1, :] @ rot.swapaxes(-1, -2))[..., 0, :]  # (R mu_z)^T

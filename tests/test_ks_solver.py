@@ -345,8 +345,10 @@ class TestFixtures:
         assert result.nodes_explored > 0
 
     def test_peres33_dpll_agrees(self):
-        sat, _ = cc.dpll_solve(direction_graph("peres33"))
-        assert not sat
+        # on the direction graph and on the 99-ray eigenray instance, where
+        # the headline verdict would otherwise rest on one solver
+        for inst in (direction_graph("peres33"), ks.build_graph(ks.eigenray_set(fixture_directions("peres33")))):
+            assert cc.dpll_solve(inst) == (False, None)
 
     def test_integer49_unsat_both_ways(self):
         inst = direction_graph("integer49")

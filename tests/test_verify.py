@@ -80,9 +80,10 @@ def test_check(check):
     assert ok, detail
 
 
-def _projectors_swapped(sharp_projectors):
-    def mutant(n):
-        t = sharp_projectors(n)
+def _plus_minus_swapped(triple_of):
+    # sharp_projectors or sphere_effects returning (F-, F0, F+)
+    def mutant(*args):
+        t = triple_of(*args)
         return EffectTriple(t.direction, t.f_minus, t.f_zero, t.f_plus)
 
     return mutant
@@ -151,11 +152,12 @@ def _reflected(sharp_projectors):
 
 # id -> (check, function in verify's namespace or, as unsharp_povm.<name>, in that module's, broken variant of it)
 MUTANTS = {
-    "projector-triples/P+ and P- swapped": ("projector-triples", "sharp_projectors", _projectors_swapped),
+    "projector-triples/P+ and P- swapped": ("projector-triples", "sharp_projectors", _plus_minus_swapped),
     "projector-triples/+1 and 0 eigenvectors swapped": ("projector-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "projector-covariance/reflected direction": ("projector-covariance", "sharp_projectors", _reflected),
     "projector-covariance/forward convention": ("projector-covariance", "wigner_d1", _forward_convention),
     "effect-triples/F+ scaled by 1 + 1e-6": ("effect-triples", "sphere_effects", _plus_scaled),
+    "effect-triples/P+ and P- swapped": ("effect-triples", "sphere_effects", _plus_minus_swapped),
     "effect-triples/+1 and 0 eigenvectors swapped": ("effect-triples", "sharp_eigenvectors", _eigenvectors_swapped),
     "effect-triples/forward convention": ("effect-triples", "wigner_d1", _forward_convention),
     "effect-triples/moments carried by the inverse rotation": ("effect-triples", "_repole", _inverse_rotation),
