@@ -152,7 +152,8 @@ class SolveResult:
 
     ``verdict`` is "SAT" or "UNSAT".  SAT results carry a verified
     coloring (ray index -> AT/AF) and, in count_all mode, the exact number
-    of valid colorings, summed per search leaf (see ``_Search``).  Both
+    of valid colorings, summed over the search's leaves, each counted
+    from the components of the tripod-free rays (see ``_Search``).  Both
     modes return the same coloring.  ``nodes_explored`` (branch nodes
     tried) and ``max_depth`` (deepest decision path) count tripod
     decisions only, never one node per counted coloring.
@@ -192,35 +193,76 @@ class _Search:
     first tripod with one is taken at once, and otherwise the first
     unsatisfied tripod.
 
-    A node where every tripod holds its AT is a leaf.  Each AT has forced
-    AF on its neighbors, so no uncolored ray lies in a tripod or next to
-    an AT, and the only constraint left is "no two orthogonal ATs" among
-    the uncolored rays.  The leaf's colorings are therefore the
-    independent sets of the graph those rays induce; count_all adds their
-    number (``_leaf_count``, cached per connected component for the whole
-    search) instead of branching further, so ``nodes`` and ``max_depth``
-    count tripod decisions only.  The first leaf's coloring colors the
-    uncolored rays AF in both modes.
+    A node where every tripod holds its AT is a leaf.  Only tripod rays
+    are branched on or forced AT, and each tripod's AT has forced its two
+    partners AF, so every tripod ray is colored.  A tripod-free ray is
+    never AT, and it is AF exactly when it is orthogonal to an AT.  So the
+    leaf's uncolored rays are the tripod-free rays minus the neighbors of
+    the ATs; the only constraint left is "no two orthogonal ATs" among
+    them, and the leaf's colorings are the independent sets of the graph
+    they induce.  A leaf removes from a component of the tripod-free rays
+    only boundary rays, those orthogonal to a tripod ray, so count_all
+    splits the tripod-free rays into components once and counts each leaf
+    from them (``_leaf_count``, one memo per component for all leaves)
+    instead of branching further: ``nodes`` and ``max_depth`` count tripod
+    decisions only.  The first leaf's coloring colors the uncolored rays
+    AF in both modes.
     """
 
     def __init__(self, instance: KsInstance, count_all: bool):
         self.ray_count = n = instance.ray_count
         self.count_all = count_all
-        self.neighbors = [0] * n
+        self.neighbors = neighbors = [0] * n
         for i, j in instance.ortho_pairs:
-            self.neighbors[i] |= 1 << j
-            self.neighbors[j] |= 1 << i
+            neighbors[i] |= 1 << j
+            neighbors[j] |= 1 << i
         self.tripods = [(1 << i) | (1 << j) | (1 << k) for i, j, k in instance.tripods]
         self.tripods_of = [[] for _ in range(n)]
         for mask, tripod in zip(self.tripods, instance.tripods):
             for i in tripod:
                 self.tripods_of[i].append(mask)
         self.at = self.af = 0
-        self.component_counts: dict[int, int] = {}  # ray mask -> independent sets
         self.nodes = 0
         self.max_depth = 0
         self.count = 0
         self.first_solution: dict | None = None
+        if not count_all:
+            return
+        # Components of the tripod-free rays, flooded breadth-first from
+        # each lowest ray: (position mask, closed neighborhoods, boundary
+        # (ray, position) bits, memo of counts by position mask), in
+        # breadth-first positions, which keep the memo's masks few.
+        tripod_rays = 0
+        for mask in self.tripods:
+            tripod_rays |= mask
+        rest = ((1 << n) - 1) & ~tripod_rays
+        self.lone = 0  # tripod-free rays orthogonal to no other
+        self.components = []
+        while rest:
+            root = rest & -rest
+            order, component = [root.bit_length() - 1], root
+            for ray in order:
+                new = neighbors[ray] & rest & ~component
+                component |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    order.append(low.bit_length() - 1)
+            rest ^= component
+            if component == root:
+                self.lone |= root
+                continue
+            position = {1 << ray: 1 << k for k, ray in enumerate(order)}
+            closed = []
+            for k, ray in enumerate(order):
+                bits, around = 1 << k, neighbors[ray] & component
+                while around:
+                    low = around & -around
+                    around ^= low
+                    bits |= position[low]
+                closed.append(bits)
+            boundary = [(1 << ray, 1 << k) for k, ray in enumerate(order) if neighbors[ray] & tripod_rays]
+            self.components.append(((1 << len(order)) - 1, closed, boundary, {0: 1}))
 
     def _propagate(self, ray: int, color: str) -> bool:
         """Color ``ray`` and propagate to closure; the state changes only
@@ -264,58 +306,39 @@ class _Search:
                 pick = pick or mask
         return (pick & -pick).bit_length() - 1 if pick else None
 
-    def _record_solution(self) -> None:
-        if self.first_solution is None:
-            self.first_solution = dict.fromkeys(range(self.ray_count), AF)
-            at = self.at
-            while at:
-                low = at & -at
-                at ^= low
-                self.first_solution[low.bit_length() - 1] = AT
-        if self.count_all:
-            self.count += self._leaf_count()
-
     def _leaf_count(self) -> int:
-        """Colorings that complete a leaf: the product, over connected
-        components of the orthogonality graph on the uncolored rays, of
-        each component's number of independent sets.
+        """Colorings that complete a leaf: 2 per uncolored lone ray times,
+        per component, the independent sets of its uncolored rays.
 
-        Each component is flooded breadth-first from its lowest ray, and
-        its count is cached by its ray mask for the whole search: sibling
-        leaves share most of their components.
+        A component's uncolored rays are its rays minus its colored
+        boundary rays, at position mask S.  Its memo is looked up by S; on
+        a miss, S is counted by I(S) = I(S - v) + I(S - N[v]), v the first
+        breadth-first position in S, on an explicit stack.
         """
-        neighbors = self.neighbors
-        free = ((1 << self.ray_count) - 1) & ~(self.at | self.af)
-        total, isolated = 1, 0
-        while free:
-            root = free & -free
-            order, component = [root.bit_length() - 1], root
-            for ray in order:
-                new = neighbors[ray] & free & ~component
-                component |= new
-                while new:
-                    low = new & -new
-                    new ^= low
-                    order.append(low.bit_length() - 1)
-            free ^= component
-            if component == root:
-                isolated += 1
-                continue
-            count = self.component_counts.get(component)
+        free = ~(self.at | self.af)
+        total = 1 << (free & self.lone).bit_count()
+        for full, closed, boundary, memo in self.components:
+            start = full
+            for ray, bit in boundary:
+                if not free & ray:
+                    start ^= bit
+            count = memo.get(start)
             if count is None:
-                # breadth-first numbering keeps _independent_sets' masks few
-                position = {1 << ray: 1 << k for k, ray in enumerate(order)}
-                closed = []
-                for k, ray in enumerate(order):
-                    bits, around = 1 << k, neighbors[ray] & component
-                    while around:
-                        low = around & -around
-                        around ^= low
-                        bits |= position[low]
-                    closed.append(bits)
-                count = self.component_counts[component] = _independent_sets(closed)
+                stack = [start]
+                while stack:
+                    s = stack[-1]
+                    low = s & -s
+                    without, away = s ^ low, s & ~closed[low.bit_length() - 1]
+                    if without not in memo:
+                        stack.append(without)
+                    elif away not in memo:
+                        stack.append(away)
+                    else:
+                        memo[s] = memo[without] + memo[away]
+                        stack.pop()
+                count = memo[start]
             total *= count
-        return total << isolated
+        return total
 
     def run(self) -> bool:
         """Depth-first search on an explicit stack, so the depth is not
@@ -323,13 +346,19 @@ class _Search:
         early (SAT found and not counting)."""
         frames: list[tuple] = []  # (ray, color, at, af before it) per decision on the path
         while True:
-            self.max_depth = max(self.max_depth, len(frames))
             ray = self._pick_branch_ray()
             if ray is None:
                 # Every tripod has its AT: a leaf (see the class docstring).
-                self._record_solution()
+                if self.first_solution is None:
+                    self.first_solution = dict.fromkeys(range(self.ray_count), AF)
+                    at = self.at
+                    while at:
+                        low = at & -at
+                        at ^= low
+                        self.first_solution[low.bit_length() - 1] = AT
                 if not self.count_all:
                     return True
+                self.count += self._leaf_count()
                 color = None
             else:
                 color = AT
@@ -345,31 +374,9 @@ class _Search:
                     saved = (self.at, self.af)
                     if self._propagate(ray, color):
                         frames.append((ray, color, *saved))
+                        self.max_depth = max(self.max_depth, len(frames))
                         break
                 color = AF if color == AT else None
-
-
-def _independent_sets(closed: list[int]) -> int:
-    """Number of independent sets of a graph on vertices 0..n-1, where
-    ``closed[v]`` is the bitmask of v and its neighbors.
-
-    Decides the vertices in order, keeping for each mask of later vertices
-    that the chosen ones forbid the number of partial sets that forbid
-    exactly those.  With vertices in breadth-first order a forbidden mask
-    only holds vertices near the search front, so the masks stay few on
-    sparse graphs (at most four on a path or a cycle).
-    """
-    counts = {0: 1}
-    for v, around in enumerate(closed):
-        bit, later = 1 << v, around >> (v + 1) << (v + 1)
-        step: dict[int, int] = {}
-        for forbidden, count in counts.items():
-            kept = forbidden & ~bit
-            step[kept] = step.get(kept, 0) + count
-            if not forbidden & bit:
-                step[kept | later] = step.get(kept | later, 0) + count
-        counts = step
-    return counts[0]
 
 
 def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveResult:
@@ -381,7 +388,7 @@ def solve_coloring(instance: KsInstance, mode: str = "first_solution") -> SolveR
     number of valid colorings (an exhausted search is the UNSAT
     certificate in either mode).  Both branch on tripods only; at a leaf,
     where every tripod holds its AT, count_all adds the number of
-    independent sets of the orthogonality graph on the uncolored rays, so
+    independent sets of the graph on the uncolored, tripod-free rays, so
     ``nodes_explored`` and ``max_depth`` count tripod decisions only.
     Both modes return the same coloring, with leftover rays AF.
 

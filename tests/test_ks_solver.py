@@ -265,9 +265,9 @@ class TestSolver:
     # Instances without tripods leave every ray free at the root leaf, so
     # count_all counts independent sets: Fibonacci numbers on a path,
     # Lucas numbers on a cycle, far beyond what enumerating colorings one
-    # by one can reach.  Labels in a seeded order: the independent-set
-    # count relabels each component breadth-first, without which its memo
-    # grows exponentially on these (tens of seconds for one 60-cycle).
+    # by one can reach.  Labels in a seeded order: the search numbers each
+    # component breadth-first, without which its memo grows exponentially
+    # on these (tens of seconds for one 60-cycle).
     @pytest.mark.parametrize("relabel", [False, True], ids=["plain", "relabelled"])
     @pytest.mark.parametrize("cycle", [False, True], ids=["path-fibonacci", "cycle-lucas"])
     def test_free_counts(self, cycle, relabel):
@@ -302,8 +302,9 @@ class TestSolver:
         # one tripod ray is AT.  If it is 0, ray 3 is AF and the path
         # 4..(2+m) of m-1 free rays has F(m+1) independent sets.  If it is
         # 1 or 2, ray 0 is AF and the path 3..(2+m) of m free rays has
-        # F(m+2).  Total F(m+1) + 2 F(m+2).
-        for m in (1, 5, 40):
+        # F(m+2).  Total F(m+1) + 2 F(m+2).  At m = 2000 the path is one
+        # component deeper than the recursion limit.
+        for m in (1, 5, 40, 2000):
             pairs = [(0, 1), (0, 2), (1, 2), (0, 3)] + [(i, i + 1) for i in range(3, 2 + m)]
             inst = free_instance(3 + m, pairs, [(0, 1, 2)])
             result = ks.solve_coloring(inst, mode="count_all")

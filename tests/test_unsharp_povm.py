@@ -304,8 +304,10 @@ class TestProbabilities:
 class TestSimulation:
     def test_sharp_limit_all_plus(self):
         psi = np.array([1, 0, 0], dtype=complex)
-        counts = up.simulate_outcomes(psi, Z, mis.UniformCap(1e-6), 1000, seed=2)
-        assert counts == (1000, 0, 0)
+        # one trial past a block, so a last block left out shows
+        trials = up._SIMULATION_BLOCK + 1
+        counts = up.simulate_outcomes(psi, Z, mis.UniformCap(1e-6), trials, seed=2)
+        assert counts == (trials, 0, 0)
 
     def test_axial_model_sampling(self):
         model = mis.AxialDensity(0.7, lambda t: np.cos(t / 2) ** 2)

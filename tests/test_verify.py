@@ -137,8 +137,8 @@ def _a2_a3_swapped(alphas_uniform_cap):
 
 
 def _m_s_sign_flipped(sharp_born):
-    # (m^T Q m - m.s)/2 for P_+1: the simulator shares this Born rule with
-    # outcome_probabilities, not with the check's effect matrices
+    # (m^T Q m - m.s)/2 for P_+1: the simulator's own Born rule, which
+    # shares only _spin_moments with outcome_probabilities
     def mutant(*args):
         p_plus, p_zero = sharp_born(*args)
         return 1.0 - p_plus - p_zero, p_zero
